@@ -24,7 +24,7 @@ from .datasets import generate, held_out
 from .diffusion import training_schedule
 from .metrics import energy_distance, eval_estimator_curve
 from .models import Denoiser, Estimator
-from .sampler import SamplerConfig, SamplingRun, StepRecord, sample_batch
+from .sampler import SamplingRun, StepRecord, sample_batch
 
 METHODS = ("fixed", "adaptive")
 

@@ -21,6 +21,7 @@ VERSION = 1
 
 _COND_CODES = {"continuous_alpha": 0, "discrete_index": 1}
 _COND_NAMES = {v: k for k, v in _COND_CODES.items()}
+_DIM_LIMIT = 2**32  # tensor dims are stored as u32
 
 
 def write_tensors(path, tensors: dict[str, np.ndarray]) -> None:
@@ -82,6 +83,14 @@ def _network_tensors(prefix: str, net: Network) -> dict[str, np.ndarray]:
     return out
 
 
+def _stored_int(value, stop: int, what: str) -> int:
+    """A float read from a checkpoint that must hold an integer in [0, stop)."""
+    v = float(value)
+    if not (v.is_integer() and 0 <= v < stop):
+        raise CheckpointError(f"{what} {v!r} is not an integer in [0, {stop})")
+    return int(v)
+
+
 def _network_from_tensors(prefix: str, tensors: dict[str, np.ndarray]) -> Network:
     layers = []
     k = 0
@@ -89,9 +98,11 @@ def _network_from_tensors(prefix: str, tensors: dict[str, np.ndarray]) -> Networ
         try:
             w = tensors[f"{prefix}/layer{k}/weight"]
             b = tensors[f"{prefix}/layer{k}/bias"]
-            act = ACTIVATIONS[int(tensors[f"{prefix}/layer{k}/activation"][0])]
+            code = tensors[f"{prefix}/layer{k}/activation"][0]
         except (KeyError, IndexError) as exc:
             raise CheckpointError(f"incomplete layer {k} under {prefix!r}") from exc
+        what = f"activation of layer {k} under {prefix!r}"
+        act = ACTIVATIONS[_stored_int(code, len(ACTIVATIONS), what)]
         layers.append(DenseLayer(w.copy(), b.copy(), act))
         k += 1
     if not layers:
@@ -120,18 +131,25 @@ def save_checkpoint(models: dict, schedule: NoiseSchedule | None, path) -> None:
 def load_checkpoint(path) -> tuple[dict, NoiseSchedule | None]:
     tensors = read_tensors(path)
     models: dict = {}
-    if "denoiser/meta" in tensors:
-        meta = tensors["denoiser/meta"]
-        models["denoiser"] = Denoiser(
-            net=_network_from_tensors("denoiser", tensors),
-            data_dim=int(meta[0]),
-            conditioning_mode=_COND_NAMES[int(meta[1])],
-        )
-    if "estimator/meta" in tensors:
-        models["estimator"] = Estimator(
-            net=_network_from_tensors("estimator", tensors),
-            data_dim=int(tensors["estimator/meta"][0]),
-        )
+    try:
+        if "denoiser/meta" in tensors:
+            meta = tensors["denoiser/meta"]
+            code = _stored_int(meta[1], len(_COND_NAMES), "denoiser conditioning code")
+            models["denoiser"] = Denoiser(
+                net=_network_from_tensors("denoiser", tensors),
+                data_dim=_stored_int(meta[0], _DIM_LIMIT, "denoiser data_dim"),
+                conditioning_mode=_COND_NAMES[code],
+            )
+        if "estimator/meta" in tensors:
+            meta = tensors["estimator/meta"]
+            models["estimator"] = Estimator(
+                net=_network_from_tensors("estimator", tensors),
+                data_dim=_stored_int(meta[0], _DIM_LIMIT, "estimator data_dim"),
+            )
+    except CheckpointError:
+        raise
+    except (IndexError, ValueError) as exc:  # short meta, or dims the networks do not fit
+        raise CheckpointError(f"{path}: malformed model metadata: {exc}") from exc
     schedule = None
     if "schedule/betas" in tensors:
         schedule = NoiseSchedule.from_betas(tensors["schedule/betas"])

@@ -9,18 +9,21 @@ Example:
     sampler.adjust = all
     seeds = 0,1,2,3
 
-Unknown keys are rejected. to_text()/parse_text() round-trip.
+Each key is one row of the _KEYS table, which drives parsing, the
+unknown-key check and to_text(). Keys a file leaves out take the
+RunConfig defaults. Unknown keys are rejected. to_text()/parse_text()
+round-trip.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from pathlib import Path
 
 from .datasets import DatasetSpec
 from .diffusion import TrainConfig
 from .errors import ConfigError
 from .sampler import SamplerConfig
-from .schedule import ScheduleFamily
 
 DEFAULT_EVAL_GRID = (0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999)
 
@@ -36,7 +39,11 @@ class BenchConfig:
 class RunConfig:
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     train: TrainConfig = field(default_factory=TrainConfig)
-    sampler: SamplerConfig = field(default_factory=lambda: SamplerConfig(steps=6))
+    sampler: SamplerConfig = field(
+        default_factory=lambda: SamplerConfig(
+            steps=6, adjustment_set=frozenset(range(1, 7)), update_rule="ddim"
+        )
+    )
     bench: BenchConfig = field(default_factory=BenchConfig)
     output_dir: str = "runs"
     eval_grid: tuple[float, ...] = DEFAULT_EVAL_GRID
@@ -65,30 +72,93 @@ def _adjust_to_text(adjust: frozenset[int], steps: int) -> str:
     return ",".join(str(i) for i in sorted(adjust))
 
 
-_INT_KEYS = {
-    "dataset.size", "dataset.seed", "dataset.components", "dataset.wave_length",
-    "train.batch_size", "train.total_steps", "train.seed", "train.stage_count",
-    "train.checkpoint_every",
-    "sampler.steps", "sampler.seed",
-    "bench.samples_per_run", "bench.reference_size",
-    "eval.samples_per_point",
-}
-_FLOAT_KEYS = {
-    "dataset.radius", "dataset.sigma", "dataset.roll_noise",
-    "dataset.freq_lo", "dataset.freq_hi",
-    "train.learning_rate",
-    "sampler.beta0", "sampler.eta",
-}
-_STR_KEYS = {"dataset.kind", "sampler.family", "sampler.update_rule",
-             "sampler.conditioning", "output_dir"}
-_LIST_KEYS = {"dataset.weights", "eval.grid", "bench.steps_list", "seeds",
-              "sampler.adjust"}
+def _plain(parse, fmt=str):
+    return (lambda text, fields: parse(text)), (lambda value, holder: fmt(value))
 
-KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _LIST_KEYS
+
+def _listed(parse, fmt=str):
+    return _plain(lambda text: tuple(parse(t) for t in text.split(",")),
+                  lambda values: ",".join(fmt(v) for v in values))
+
+
+# A codec is (decode(text, fields decoded so far for the same holder),
+# encode(value, holder)); the holder is the object that has the field.
+_INT, _FLOAT, _STR = _plain(int), _plain(float, repr), _plain(str)
+_INTS, _FLOATS = _listed(int), _listed(float, repr)
+_ADJUST = (lambda text, fields: _parse_adjust(text, fields["steps"]),
+           lambda value, sampler: _adjust_to_text(value, sampler.steps))
+
+# key -> (section, field, codec), in to_text order. The section is a
+# RunConfig field ("" is RunConfig itself); the field may be dotted.
+_KEYS = {
+    "dataset.kind": ("dataset", "kind", _STR),
+    "dataset.size": ("dataset", "size", _INT),
+    "dataset.seed": ("dataset", "seed", _INT),
+    "dataset.components": ("dataset", "components", _INT),
+    "dataset.radius": ("dataset", "radius", _FLOAT),
+    "dataset.sigma": ("dataset", "sigma", _FLOAT),
+    "dataset.weights": ("dataset", "weights", _FLOATS),
+    "dataset.roll_noise": ("dataset", "roll_noise", _FLOAT),
+    "dataset.wave_length": ("dataset", "wave_length", _INT),
+    "dataset.freq_lo": ("dataset", "freq_lo", _FLOAT),
+    "dataset.freq_hi": ("dataset", "freq_hi", _FLOAT),
+    "train.learning_rate": ("train", "learning_rate", _FLOAT),
+    "train.batch_size": ("train", "batch_size", _INT),
+    "train.total_steps": ("train", "total_steps", _INT),
+    "train.seed": ("train", "seed", _INT),
+    "train.stage_count": ("train", "stage_count", _INT),
+    "train.checkpoint_every": ("", "checkpoint_every", _INT),
+    "sampler.steps": ("sampler", "steps", _INT),
+    "sampler.adjust": ("sampler", "adjustment_set", _ADJUST),
+    "sampler.family": ("sampler", "family.kind", _STR),
+    "sampler.beta0": ("sampler", "family.beta0", _FLOAT),
+    "sampler.update_rule": ("sampler", "update_rule", _STR),
+    "sampler.eta": ("sampler", "eta", _FLOAT),
+    "sampler.conditioning": ("sampler", "conditioning_mode", _STR),
+    "sampler.seed": ("sampler", "seed", _INT),
+    "bench.steps_list": ("bench", "steps_list", _INTS),
+    "bench.samples_per_run": ("bench", "samples_per_run", _INT),
+    "bench.reference_size": ("bench", "reference_size", _INT),
+    "output_dir": ("", "output_dir", _STR),
+    "eval.grid": ("", "eval_grid", _FLOATS),
+    "eval.samples_per_point": ("", "eval_samples_per_point", _INT),
+    "seeds": ("", "seeds", _INTS),
+}
+
+def _holder(section: str, attr: str) -> tuple[tuple[str, ...], str]:
+    """The attribute path from RunConfig to the object holding a field, and its name."""
+    *path, name = (part for part in f"{section}.{attr}".split(".") if part)
+    return tuple(path), name
+
+
+# key -> (holder path, field name, codec)
+_FIELDS = {key: (*_holder(section, attr), codec) for key, (section, attr, codec) in _KEYS.items()}
+
+
+def _replaced(obj, path: tuple[str, ...], changes: dict):
+    if not path:
+        return replace(obj, **changes)
+    head = getattr(obj, path[0])
+    return replace(obj, **{path[0]: _replaced(head, path[1:], changes)})
+
+
+def _encoded(cfg: RunConfig) -> dict[str, str]:
+    out = {}
+    for key, (path, name, (_, encode)) in _FIELDS.items():
+        holder = reduce(getattr, path, cfg)
+        value = getattr(holder, name)
+        if value is not None:  # unset dataset.weights: equal weights
+            out[key] = encode(value, holder)
+    return out
+
+
+# A file's missing keys read as the RunConfig defaults written out as text,
+# so that the default "all" adjustment set follows the file's step count.
+_DEFAULT_TEXT = _encoded(RunConfig())
 
 
 def parse_text(text: str) -> RunConfig:
-    raw: dict[str, str] = {}
+    given: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -96,80 +166,27 @@ def parse_text(text: str) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in raw:
+        if key in given:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        raw[key] = value
+        given[key] = value
 
-    def pop_int(key, default):
-        return int(raw.pop(key)) if key in raw else default
-
-    def pop_float(key, default):
-        return float(raw.pop(key)) if key in raw else default
-
-    def pop_str(key, default):
-        return raw.pop(key) if key in raw else default
-
+    raw = {**_DEFAULT_TEXT, **given}
+    changes: dict[tuple[str, ...], dict] = {}
     try:
-        ds = DatasetSpec(
-            kind=pop_str("dataset.kind", "gaussian_mixture_2d"),
-            size=pop_int("dataset.size", 4096),
-            seed=pop_int("dataset.seed", 0),
-            components=pop_int("dataset.components", 8),
-            radius=pop_float("dataset.radius", 2.0),
-            sigma=pop_float("dataset.sigma", 0.1),
-            weights=tuple(float(t) for t in raw.pop("dataset.weights").split(","))
-            if "dataset.weights" in raw else None,
-            roll_noise=pop_float("dataset.roll_noise", 0.3),
-            wave_length=pop_int("dataset.wave_length", 64),
-            freq_lo=pop_float("dataset.freq_lo", 1.0),
-            freq_hi=pop_float("dataset.freq_hi", 8.0),
-        )
-        tr = TrainConfig(
-            learning_rate=pop_float("train.learning_rate", 1e-3),
-            batch_size=pop_int("train.batch_size", 128),
-            total_steps=pop_int("train.total_steps", 20000),
-            seed=pop_int("train.seed", 0),
-            stage_count=pop_int("train.stage_count", 1000),
-        )
-        steps = pop_int("sampler.steps", 6)
-        sp = SamplerConfig(
-            steps=steps,
-            adjustment_set=_parse_adjust(raw.pop("sampler.adjust", "all"), steps),
-            family=ScheduleFamily(
-                kind=pop_str("sampler.family", "linear"),
-                beta0=pop_float("sampler.beta0", 1e-4),
-            ),
-            update_rule=pop_str("sampler.update_rule", "ddim"),
-            eta=pop_float("sampler.eta", 0.0),
-            conditioning_mode=pop_str("sampler.conditioning", "continuous_alpha"),
-            seed=pop_int("sampler.seed", 0),
-        )
-        bench = BenchConfig(
-            steps_list=tuple(int(t) for t in raw.pop("bench.steps_list").split(","))
-            if "bench.steps_list" in raw else BenchConfig.steps_list,
-            samples_per_run=pop_int("bench.samples_per_run", 512),
-            reference_size=pop_int("bench.reference_size", 2048),
-        )
-        cfg = RunConfig(
-            dataset=ds,
-            train=tr,
-            sampler=sp,
-            bench=bench,
-            output_dir=pop_str("output_dir", "runs"),
-            eval_grid=tuple(float(t) for t in raw.pop("eval.grid").split(","))
-            if "eval.grid" in raw else DEFAULT_EVAL_GRID,
-            eval_samples_per_point=pop_int("eval.samples_per_point", 256),
-            seeds=tuple(int(t) for t in raw.pop("seeds").split(","))
-            if "seeds" in raw else tuple(range(10)),
-            checkpoint_every=pop_int("train.checkpoint_every", 0),
-        )
+        for key, (path, name, (decode, _)) in _FIELDS.items():
+            if key in raw:
+                fields = changes.setdefault(path, {})
+                fields[name] = decode(raw[key], fields)
+        cfg = RunConfig()
+        # innermost objects first: each replace validates one whole object
+        for path in sorted(changes, key=len, reverse=True):
+            cfg = _replaced(cfg, path, changes[path])
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-    assert not raw, f"unconsumed keys: {sorted(raw)}"
     return cfg
 
 
@@ -181,45 +198,7 @@ def load_config(path) -> RunConfig:
 
 
 def to_text(cfg: RunConfig) -> str:
-    ds, tr, sp, bench = cfg.dataset, cfg.train, cfg.sampler, cfg.bench
-    lines = [
-        f"dataset.kind = {ds.kind}",
-        f"dataset.size = {ds.size}",
-        f"dataset.seed = {ds.seed}",
-        f"dataset.components = {ds.components}",
-        f"dataset.radius = {ds.radius!r}",
-        f"dataset.sigma = {ds.sigma!r}",
-    ]
-    if ds.weights is not None:
-        lines.append("dataset.weights = " + ",".join(repr(w) for w in ds.weights))
-    lines += [
-        f"dataset.roll_noise = {ds.roll_noise!r}",
-        f"dataset.wave_length = {ds.wave_length}",
-        f"dataset.freq_lo = {ds.freq_lo!r}",
-        f"dataset.freq_hi = {ds.freq_hi!r}",
-        f"train.learning_rate = {tr.learning_rate!r}",
-        f"train.batch_size = {tr.batch_size}",
-        f"train.total_steps = {tr.total_steps}",
-        f"train.seed = {tr.seed}",
-        f"train.stage_count = {tr.stage_count}",
-        f"train.checkpoint_every = {cfg.checkpoint_every}",
-        f"sampler.steps = {sp.steps}",
-        f"sampler.adjust = {_adjust_to_text(sp.adjustment_set, sp.steps)}",
-        f"sampler.family = {sp.family.kind}",
-        f"sampler.beta0 = {sp.family.beta0!r}",
-        f"sampler.update_rule = {sp.update_rule}",
-        f"sampler.eta = {sp.eta!r}",
-        f"sampler.conditioning = {sp.conditioning_mode}",
-        f"sampler.seed = {sp.seed}",
-        "bench.steps_list = " + ",".join(str(n) for n in bench.steps_list),
-        f"bench.samples_per_run = {bench.samples_per_run}",
-        f"bench.reference_size = {bench.reference_size}",
-        f"output_dir = {cfg.output_dir}",
-        "eval.grid = " + ",".join(repr(g) for g in cfg.eval_grid),
-        f"eval.samples_per_point = {cfg.eval_samples_per_point}",
-        "seeds = " + ",".join(str(s) for s in cfg.seeds),
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {value}\n" for key, value in _encoded(cfg).items())
 
 
 def with_overrides(cfg: RunConfig, seed: int | None = None, out: str | None = None) -> RunConfig:

@@ -7,7 +7,6 @@ obey the usual statistical fluctuation bounds.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 

@@ -1,9 +1,9 @@
-"""Forward diffusion, noise-level sampling and the two training loops.
+"""Forward diffusion, noise-level sampling and the training loop of both models.
 
 The denoiser learns to predict injected noise under an L1 objective; the
 noise-level estimator regresses the cumulative retention alpha-bar under
 an L2 loss on log(1 - alpha_bar), which weights errors near 1 heavily.
-Both loops are bit-deterministic given (seed, step index).
+Both models train in one loop, bit-deterministic given (seed, step index).
 """
 from __future__ import annotations
 
@@ -116,12 +116,17 @@ def denoiser_train_step(
     return loss
 
 
-def estimator_loss(alpha_bar_true, alpha_bar_hat) -> float:
-    """Root-mean-square gap between log(1-ab_true) and log(1-ab_hat)."""
+def _loss_and_gap(alpha_bar_true, alpha_bar_hat):
+    """The estimator loss, the clipped log-gap it is taken over, and clipped ab_hat."""
     t = np.clip(np.asarray(alpha_bar_true, dtype=np.float64), LOG_CLAMP, 1.0 - LOG_CLAMP)
     h = np.clip(np.asarray(alpha_bar_hat, dtype=np.float64), LOG_CLAMP, 1.0 - LOG_CLAMP)
     gap = np.log1p(-t) - np.log1p(-h)
-    return float(np.sqrt(np.mean(gap**2)))
+    return float(np.sqrt(np.mean(gap**2))), gap, h
+
+
+def estimator_loss(alpha_bar_true, alpha_bar_hat) -> float:
+    """Root-mean-square gap between log(1-ab_true) and log(1-ab_hat)."""
+    return _loss_and_gap(alpha_bar_true, alpha_bar_hat)[0]
 
 
 def estimator_train_step(
@@ -135,14 +140,11 @@ def estimator_train_step(
     batch = make_noisy_batch(y0, schedule, rng)
     ab_true = batch.sqrt_alpha_bar**2
     pred = estimator.net.forward(batch.y_s)[:, 0]
-    loss = estimator_loss(ab_true, pred)
+    loss, gap, h = _loss_and_gap(ab_true, pred)
     if not np.isfinite(loss):
         raise ValueError("non-finite training loss; step aborted")
     m = pred.size
     if loss > 0.0:
-        t = np.clip(ab_true, LOG_CLAMP, 1.0 - LOG_CLAMP)
-        h = np.clip(pred, LOG_CLAMP, 1.0 - LOG_CLAMP)
-        gap = np.log1p(-t) - np.log1p(-h)
         grad = gap / (m * loss * (1.0 - h))
         grad[(pred < LOG_CLAMP) | (pred > 1.0 - LOG_CLAMP)] = 0.0
     else:
@@ -160,6 +162,20 @@ def _pick_batch(data: np.ndarray, rng: np.random.Generator, batch_size: int) -> 
     return data[idx]
 
 
+def _train(model, train_step, data: np.ndarray, cfg: TrainConfig, progress) -> list[float]:
+    schedule = training_schedule(cfg.stage_count)
+    opt = AdamState.for_network(model.net, learning_rate=cfg.learning_rate)
+    losses = []
+    for step in range(cfg.total_steps):
+        rng = _step_rng(cfg.seed, step)
+        y0 = _pick_batch(data, rng, cfg.batch_size)
+        loss = train_step(model, opt, y0, rng, schedule)
+        losses.append(loss)
+        if progress is not None:
+            progress(step, loss)
+    return losses
+
+
 def train_denoiser(
     denoiser: Denoiser,
     data: np.ndarray,
@@ -167,17 +183,7 @@ def train_denoiser(
     progress=None,
 ) -> list[float]:
     """Run cfg.total_steps denoiser updates; returns the per-step loss list."""
-    schedule = training_schedule(cfg.stage_count)
-    opt = AdamState.for_network(denoiser.net, learning_rate=cfg.learning_rate)
-    losses = []
-    for step in range(cfg.total_steps):
-        rng = _step_rng(cfg.seed, step)
-        y0 = _pick_batch(data, rng, cfg.batch_size)
-        loss = denoiser_train_step(denoiser, opt, y0, rng, schedule)
-        losses.append(loss)
-        if progress is not None:
-            progress(step, loss)
-    return losses
+    return _train(denoiser, denoiser_train_step, data, cfg, progress)
 
 
 def train_estimator(
@@ -187,14 +193,4 @@ def train_estimator(
     progress=None,
 ) -> list[float]:
     """Run cfg.total_steps estimator updates; returns the per-step loss list."""
-    schedule = training_schedule(cfg.stage_count)
-    opt = AdamState.for_network(estimator.net, learning_rate=cfg.learning_rate)
-    losses = []
-    for step in range(cfg.total_steps):
-        rng = _step_rng(cfg.seed, step)
-        y0 = _pick_batch(data, rng, cfg.batch_size)
-        loss = estimator_train_step(estimator, opt, y0, rng, schedule)
-        losses.append(loss)
-        if progress is not None:
-            progress(step, loss)
-    return losses
+    return _train(estimator, estimator_train_step, data, cfg, progress)

@@ -9,7 +9,11 @@ n-1 .. 1.
 
 One vectorized engine evolves a batch of independent chains (per-chain
 estimates, per-chain re-solved schedules); the public single-chain
-operations are batch-1 wrappers over it.
+operations are batch-1 wrappers over it. The engine runs the same code
+as the public formulas: _reverse_step is the one DDPM/DDIM update, with
+ddpm_update and ddim_update as its validated single-state views, and the
+re-solves and level lookups are schedule's _solve_batch, clamp_betas and
+_indices_for_levels.
 """
 from __future__ import annotations
 
@@ -21,12 +25,11 @@ import numpy as np
 from .errors import ScheduleError, ShapeError
 from .models import Denoiser, Estimator
 from .schedule import (
-    BETA_CEIL,
-    BETA_FLOOR,
-    PHI,
-    PHI_CONJ,
     NoiseSchedule,
     ScheduleFamily,
+    _indices_for_levels,
+    _solve_batch,
+    clamp_betas,
 )
 
 UPDATE_RULES = ("ddpm", "ddim")
@@ -91,84 +94,63 @@ def initial_noise_schedule(cfg: SamplerConfig) -> NoiseSchedule:
         while len(seq) < n:
             seq.append(seq[-1] + seq[-2])
         betas = np.array(seq[:n])
-    return NoiseSchedule.from_betas(np.clip(betas, BETA_FLOOR, BETA_CEIL))
+    return NoiseSchedule.from_betas(clamp_betas(betas)[0])
+
+
+def _reverse_step(y, eps_hat, n: int, beta, abar, abar_prev, rule: str, eta: float):
+    """One DDPM or DDIM reverse step, split as (deterministic part, noise scale).
+
+    The step's result is det + scale * z; the engine keeps the two apart
+    because the estimator reads det, the state before noise is added.
+    beta, abar = alpha_bar_n and abar_prev = alpha_bar_{n-1} are scalars
+    or per-chain columns that broadcast against the state y.
+    """
+    if rule == "ddpm":
+        alpha = 1.0 - beta
+        # beta = 0 adds no noise: the eps coefficient vanishes even when abar = 1
+        coef = np.divide(1.0 - alpha, np.sqrt(1.0 - abar),
+                         out=np.zeros(np.shape(beta)), where=beta != 0.0)
+        det = (y - coef * eps_hat) / np.sqrt(alpha)
+        return det, np.sqrt(beta) if n != 1 else np.zeros(np.shape(beta))
+    sigma = eta * np.sqrt(beta * (1.0 - abar_prev) * (1.0 - abar))
+    resid = 1.0 - abar_prev - sigma**2
+    if np.any(resid < -1e-9):
+        raise ScheduleError(f"inconsistent schedule: 1 - abar_prev - sigma^2 = {np.min(resid)}")
+    resid = np.maximum(resid, 0.0)
+    det = np.sqrt(abar_prev) * predicted_clean(y, eps_hat, abar) + np.sqrt(resid) * eps_hat
+    return det, sigma
+
+
+def _public_step(y_n, eps_hat, n: int, schedule: NoiseSchedule, z, rule: str, eta: float):
+    y_n = np.asarray(y_n, dtype=np.float64)
+    eps_hat = np.asarray(eps_hat, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    if not (1 <= n <= len(schedule)):
+        raise ScheduleError(f"step index {n} outside schedule of length {len(schedule)}")
+    if eps_hat.shape != y_n.shape or z.shape != y_n.shape:
+        raise ShapeError("eps_hat and z must match the state shape")
+    det, scale = _reverse_step(
+        y_n, eps_hat, n, schedule.betas[n - 1],
+        schedule.alpha_bar(n), schedule.alpha_bar(n - 1), rule, eta,
+    )
+    return det + scale * z
 
 
 def ddpm_update(y_n, eps_hat, n: int, schedule: NoiseSchedule, z) -> np.ndarray:
     """Stochastic reverse step; injects sqrt(beta_n)*z except at n = 1."""
-    y_n = np.asarray(y_n, dtype=np.float64)
-    eps_hat = np.asarray(eps_hat, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    if not (1 <= n <= len(schedule)):
-        raise ScheduleError(f"step index {n} outside schedule of length {len(schedule)}")
-    if eps_hat.shape != y_n.shape or z.shape != y_n.shape:
-        raise ShapeError("eps_hat and z must match the state shape")
-    beta = schedule.betas[n - 1]
-    alpha = schedule.alphas[n - 1]
-    abar = schedule.alpha_bar(n)
-    # beta = 0 adds no noise: the eps coefficient vanishes even when abar = 1
-    coef = 0.0 if beta == 0.0 else (1.0 - alpha) / np.sqrt(1.0 - abar)
-    out = (y_n - coef * eps_hat) / np.sqrt(alpha)
-    if n != 1:
-        out = out + np.sqrt(beta) * z
-    return out
+    return _public_step(y_n, eps_hat, n, schedule, z, "ddpm", 0.0)
 
 
 def ddim_update(y_n, eps_hat, n: int, schedule: NoiseSchedule, eta: float, z) -> np.ndarray:
     """Reverse step through the predicted clean sample; deterministic at eta = 0."""
-    y_n = np.asarray(y_n, dtype=np.float64)
-    eps_hat = np.asarray(eps_hat, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    if not (1 <= n <= len(schedule)):
-        raise ScheduleError(f"step index {n} outside schedule of length {len(schedule)}")
-    if eps_hat.shape != y_n.shape or z.shape != y_n.shape:
-        raise ShapeError("eps_hat and z must match the state shape")
-    beta = schedule.betas[n - 1]
-    abar = schedule.alpha_bar(n)
-    abar_prev = schedule.alpha_bar(n - 1)
-    y0_hat = (y_n - np.sqrt(1.0 - abar) * eps_hat) / np.sqrt(abar)
-    sigma = eta * np.sqrt(beta * (1.0 - abar_prev) * (1.0 - abar))
-    resid = 1.0 - abar_prev - sigma**2
-    if resid < -1e-9:
-        raise ScheduleError(f"inconsistent schedule: 1 - abar_prev - sigma^2 = {resid}")
-    resid = max(resid, 0.0)
-    return np.sqrt(abar_prev) * y0_hat + np.sqrt(resid) * eps_hat + sigma * z
+    return _public_step(y_n, eps_hat, n, schedule, z, "ddim", eta)
 
 
-def predicted_clean(y_n, eps_hat, abar: float) -> np.ndarray:
+def predicted_clean(y_n, eps_hat, abar) -> np.ndarray:
     """Invert the closed-form corruption given a noise prediction."""
     y_n = np.asarray(y_n, dtype=np.float64)
     eps_hat = np.asarray(eps_hat, dtype=np.float64)
     return (y_n - np.sqrt(1.0 - abar) * eps_hat) / np.sqrt(abar)
-
-
-def _solve_batch(ab_hat: np.ndarray, m: int, family: ScheduleFamily) -> tuple[np.ndarray, int]:
-    """Vectorized remaining-schedule solve for a batch of targets.
-
-    Returns the clamped (batch, m) beta matrix and the clamp count.
-    """
-    target = -np.log(ab_hat)
-    if m == 1:
-        raw = (1.0 - ab_hat)[:, None]
-    elif family.kind == "linear":
-        x = -2.0 * (np.log(ab_hat) + m * family.beta0) / (m * (m - 1))
-        raw = family.beta0 + x[:, None] * np.arange(m)
-    elif m == 2:
-        raw = np.stack([np.full_like(target, family.beta0), target - family.beta0], axis=1)
-    else:
-        geo = lambda r: (r**m - 1.0) / (r - 1.0)
-        a = (target - family.beta0 * geo(PHI_CONJ)) / (geo(PHI) - geo(PHI_CONJ))
-        b = family.beta0 - a
-        i = np.arange(m)
-        raw = a[:, None] * PHI**i + b[:, None] * PHI_CONJ**i
-    clamped = np.clip(raw, BETA_FLOOR, BETA_CEIL)
-    return clamped, int(np.count_nonzero(clamped != raw))
-
-
-def _indices_for_levels(ab: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    level = np.sqrt(ab)
-    t = np.searchsorted(-bounds, -level, side="left")
-    return np.clip(t, 1, bounds.size - 1)
 
 
 def _reverse_engine(
@@ -209,11 +191,7 @@ def _reverse_engine(
 
     for n in range(n_steps, 0, -1):
         t0 = time.perf_counter()
-        col = n - 1
-        beta_n = betas[:, col]
-        alpha_n = 1.0 - beta_n
         abar_n = abar[:, n]
-        abar_prev = abar[:, n - 1]
         in_force = betas[0, :n].copy()
 
         if cfg.conditioning_mode == "discrete_index":
@@ -223,23 +201,10 @@ def _reverse_engine(
             cond = np.sqrt(abar_n)
         eps_hat = denoiser.net.forward(denoiser.conditioned_input(y, cond))
         z = rng.standard_normal((batch, dim))
-
-        if cfg.update_rule == "ddpm":
-            y_det = (y - ((1.0 - alpha_n) / np.sqrt(1.0 - abar_n))[:, None] * eps_hat) / np.sqrt(
-                alpha_n
-            )[:, None]
-            noise_scale = np.sqrt(beta_n) if n != 1 else np.zeros(batch)
-        else:
-            y0_hat = (y - np.sqrt(1.0 - abar_n)[:, None] * eps_hat) / np.sqrt(abar_n)[:, None]
-            sigma = cfg.eta * np.sqrt(beta_n * (1.0 - abar_prev) * (1.0 - abar_n))
-            resid = 1.0 - abar_prev - sigma**2
-            if np.any(resid < -1e-9):
-                raise ScheduleError("inconsistent schedule: 1 - abar_prev - sigma^2 < 0")
-            resid = np.maximum(resid, 0.0)
-            y_det = (
-                np.sqrt(abar_prev)[:, None] * y0_hat + np.sqrt(resid)[:, None] * eps_hat
-            )
-            noise_scale = sigma
+        y_det, noise_scale = _reverse_step(
+            y, eps_hat, n, betas[:, n - 1, None], abar[:, n, None], abar[:, n - 1, None],
+            cfg.update_rule, cfg.eta,
+        )
 
         alpha_hat_rec = None
         if n in adjust:
@@ -248,12 +213,14 @@ def _reverse_engine(
             )
             alpha_hat_rec = float(ab_hat[0])
             if n - 1 >= 1:
-                new_betas, n_clamped = _solve_batch(ab_hat, n - 1, cfg.family)
+                new_betas, n_clamped = clamp_betas(
+                    _solve_batch(ab_hat, n - 1, cfg.family.kind, cfg.family.beta0)
+                )
                 clamp_events += n_clamped
                 betas[:, : n - 1] = new_betas
                 abar[:, 1:n] = np.cumprod(1.0 - new_betas, axis=1)
 
-        y = y_det + noise_scale[:, None] * z
+        y = y_det + noise_scale * z
         if not np.all(np.isfinite(y)):
             raise ValueError(f"non-finite state after step {n}")
         trace.append(
@@ -274,6 +241,18 @@ def _reverse_engine(
     )
 
 
+def _single_chain(denoiser, schedule, cfg, rng, estimator, adjust, y_init, train_bounds):
+    run = _reverse_engine(
+        denoiser, schedule, cfg, rng,
+        estimator=estimator, adjust=adjust, batch=1,
+        y_init=None if y_init is None else np.atleast_2d(y_init),
+        train_bounds=train_bounds,
+    )
+    run.y0 = run.y0[0]
+    run.y_init = run.y_init[0]
+    return run
+
+
 def sample_fixed(
     denoiser: Denoiser,
     schedule: NoiseSchedule,
@@ -283,15 +262,7 @@ def sample_fixed(
     y_init: np.ndarray | None = None,
 ) -> SamplingRun:
     """Run the reverse process once under an unchanging schedule."""
-    run = _reverse_engine(
-        denoiser, schedule, cfg, rng,
-        estimator=None, adjust=frozenset(), batch=1,
-        y_init=None if y_init is None else np.atleast_2d(y_init),
-        train_bounds=train_bounds,
-    )
-    run.y0 = run.y0[0]
-    run.y_init = run.y_init[0]
-    return run
+    return _single_chain(denoiser, schedule, cfg, rng, None, frozenset(), y_init, train_bounds)
 
 
 def sample_adaptive(
@@ -303,15 +274,10 @@ def sample_adaptive(
     y_init: np.ndarray | None = None,
 ) -> SamplingRun:
     """Reverse process with estimator-driven schedule re-solves at cfg.adjustment_set."""
-    run = _reverse_engine(
+    return _single_chain(
         denoiser, initial_noise_schedule(cfg), cfg, rng,
-        estimator=estimator, adjust=cfg.adjustment_set, batch=1,
-        y_init=None if y_init is None else np.atleast_2d(y_init),
-        train_bounds=train_bounds,
+        estimator, cfg.adjustment_set, y_init, train_bounds,
     )
-    run.y0 = run.y0[0]
-    run.y_init = run.y_init[0]
-    return run
 
 
 def sample_batch(

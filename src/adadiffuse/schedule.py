@@ -7,11 +7,17 @@ products, l_0 = 1). Two solver families reconstruct a schedule for a
 given remaining step count from a target cumulative retention: an
 arithmetic progression and a Fibonacci recurrence with golden-ratio
 closed form.
+
+Each formula has one vectorized implementation that the sampler runs
+per chain: _solve_batch (both closed forms), clamp_betas (the beta clip)
+and _indices_for_levels (the level-to-interval lookup). solve_linear,
+solve_fibonacci, update_noise_schedule and index_for_level are their
+validated batch-1 views.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,16 +43,15 @@ def _validate_betas(betas, floor: float) -> np.ndarray:
     return b
 
 
-def boundaries(betas) -> np.ndarray:
-    """Interval boundaries l_0..l_N, l_s = sqrt(prod_{i<=s}(1 - beta_i))."""
-    b = _validate_betas(betas, floor=0.0)
-    return np.concatenate([[1.0], np.sqrt(np.cumprod(1.0 - b))])
-
-
 def cumulative_alpha_bar(betas) -> np.ndarray:
     """Cumulative retention alpha_bar_1..alpha_bar_N."""
     b = _validate_betas(betas, floor=0.0)
     return np.cumprod(1.0 - b)
+
+
+def boundaries(betas) -> np.ndarray:
+    """Interval boundaries l_0..l_N, l_s = sqrt(prod_{i<=s}(1 - beta_i))."""
+    return np.concatenate([[1.0], np.sqrt(cumulative_alpha_bar(betas))])
 
 
 @dataclass(frozen=True)
@@ -65,8 +70,8 @@ class NoiseSchedule:
         return cls(
             betas=b,
             alphas=1.0 - b,
-            alpha_bars=np.cumprod(1.0 - b),
-            boundaries=np.concatenate([[1.0], np.sqrt(np.cumprod(1.0 - b))]),
+            alpha_bars=cumulative_alpha_bar(b),
+            boundaries=boundaries(b),
             clamped=clamped,
         )
 
@@ -94,16 +99,39 @@ class ScheduleFamily:
             raise ScheduleError(f"beta0 {self.beta0} outside [1e-6, 1e-2]")
 
 
-def _check_solver_args(alpha_bar_hat: float, n: int) -> None:
+def clamp_betas(raw: np.ndarray) -> tuple[np.ndarray, int]:
+    """Clip betas into [BETA_FLOOR, BETA_CEIL]; also returns how many moved."""
+    clamped = np.clip(raw, BETA_FLOOR, BETA_CEIL)
+    return clamped, int(np.count_nonzero(clamped != raw))
+
+
+def _solve_batch(ab_hat: np.ndarray, n: int, kind: str, beta0: float) -> np.ndarray:
+    """Unclamped remaining n-step betas for a batch of targets, one row each.
+
+    The single solver behind solve_linear, solve_fibonacci,
+    update_noise_schedule and the sampler's per-chain re-solves.
+    """
+    if n == 1:
+        return (1.0 - ab_hat)[:, None]
+    if kind == "linear":
+        x = -2.0 * (np.log(ab_hat) + n * beta0) / (n * (n - 1))
+        return beta0 + x[:, None] * np.arange(n)
+    target = -np.log(ab_hat)
+    if n == 2:
+        return np.stack([np.full_like(target, beta0), target - beta0], axis=1)
+    geo = lambda r: (r**n - 1.0) / (r - 1.0)
+    a = (target - beta0 * geo(PHI_CONJ)) / (geo(PHI) - geo(PHI_CONJ))
+    b = beta0 - a
+    i = np.arange(n)
+    return a[:, None] * PHI**i + b[:, None] * PHI_CONJ**i
+
+
+def _solve_one(alpha_bar_hat: float, n: int, kind: str, beta0: float) -> np.ndarray:
     if n < 1:
         raise ScheduleError(f"remaining step count must be >= 1, got {n}")
     if not (0.0 < alpha_bar_hat < 1.0) or not math.isfinite(alpha_bar_hat):
         raise ScheduleError(f"target alpha_bar {alpha_bar_hat} outside (0, 1)")
-
-
-def clamp_betas(raw: np.ndarray) -> tuple[np.ndarray, int]:
-    clamped = np.clip(raw, BETA_FLOOR, BETA_CEIL)
-    return clamped, int(np.count_nonzero(clamped != raw))
+    return _solve_batch(np.array([alpha_bar_hat], dtype=np.float64), n, kind, beta0)[0]
 
 
 def solve_linear(alpha_bar_hat: float, n: int, beta0: float, clamp: bool = True) -> np.ndarray:
@@ -115,15 +143,8 @@ def solve_linear(alpha_bar_hat: float, n: int, beta0: float, clamp: bool = True)
     With clamp=True (default) entries are clipped into [1e-6, 0.999]; pass
     clamp=False to inspect the raw solution.
     """
-    _check_solver_args(alpha_bar_hat, n)
-    if n == 1:
-        raw = np.array([1.0 - alpha_bar_hat])
-    else:
-        x = -2.0 * (math.log(alpha_bar_hat) + n * beta0) / (n * (n - 1))
-        raw = beta0 + x * np.arange(n)
-    if not clamp:
-        return raw
-    return clamp_betas(raw)[0]
+    raw = _solve_one(alpha_bar_hat, n, "linear", beta0)
+    return clamp_betas(raw)[0] if clamp else raw
 
 
 def solve_fibonacci(alpha_bar_hat: float, n: int, beta0: float, clamp: bool = True) -> np.ndarray:
@@ -134,34 +155,22 @@ def solve_fibonacci(alpha_bar_hat: float, n: int, beta0: float, clamp: bool = Tr
     -log(alpha_bar_hat)} using geometric-series sums. n = 1 is the exact
     single-step schedule; n = 2 pins beta0 and sets beta_1 from the sum.
     """
-    _check_solver_args(alpha_bar_hat, n)
-    target = -math.log(alpha_bar_hat)
-    if n == 1:
-        raw = np.array([1.0 - alpha_bar_hat])
-    elif n == 2:
-        raw = np.array([beta0, target - beta0])
-    else:
-        geo = lambda r: (r**n - 1.0) / (r - 1.0)
-        mat = np.array([[1.0, 1.0], [geo(PHI), geo(PHI_CONJ)]])
-        try:
-            coeff = np.linalg.solve(mat, np.array([beta0, target]))
-        except np.linalg.LinAlgError as exc:  # unreachable for n >= 3
-            raise ScheduleError(f"degenerate closed-form system for n={n}") from exc
-        i = np.arange(n)
-        raw = coeff[0] * PHI**i + coeff[1] * PHI_CONJ**i
-    if not clamp:
-        return raw
-    return clamp_betas(raw)[0]
+    raw = _solve_one(alpha_bar_hat, n, "fibonacci", beta0)
+    return clamp_betas(raw)[0] if clamp else raw
 
 
 def update_noise_schedule(alpha_bar_hat: float, n: int, family: ScheduleFamily) -> NoiseSchedule:
     """Re-derive the remaining n-step schedule from an estimated alpha-bar."""
-    if family.kind == "linear":
-        raw = solve_linear(alpha_bar_hat, n, family.beta0, clamp=False)
-    else:
-        raw = solve_fibonacci(alpha_bar_hat, n, family.beta0, clamp=False)
-    betas, n_clamped = clamp_betas(raw)
+    betas, n_clamped = clamp_betas(_solve_one(alpha_bar_hat, n, family.kind, family.beta0))
     return NoiseSchedule.from_betas(betas, clamped=n_clamped)
+
+
+def _indices_for_levels(ab: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Interval index t in [1, N] with sqrt(ab) in [l_t, l_{t-1}], per entry."""
+    level = np.sqrt(ab)
+    # bounds is decreasing: find first t with bounds[t] <= level
+    t = np.searchsorted(-bounds, -level, side="left")
+    return np.clip(t, 1, bounds.size - 1)
 
 
 def index_for_level(alpha_bar_hat: float, bounds: np.ndarray) -> int:
@@ -173,8 +182,4 @@ def index_for_level(alpha_bar_hat: float, bounds: np.ndarray) -> int:
     bounds = np.asarray(bounds, dtype=np.float64)
     if bounds.size < 2 or bounds[0] != 1.0 or np.any(np.diff(bounds) >= 0):
         raise ScheduleError("boundaries must start at 1 and strictly decrease")
-    level = math.sqrt(alpha_bar_hat)
-    n = bounds.size - 1
-    # bounds is decreasing: find first t with bounds[t] <= level
-    t = int(np.searchsorted(-bounds, -level, side="left"))
-    return min(max(t, 1), n)
+    return int(_indices_for_levels(np.array([alpha_bar_hat], dtype=np.float64), bounds)[0])

@@ -101,3 +101,23 @@ def test_empty_model_dict_round_trips_schedule_only(tmp_path):
     models, sched2 = load_checkpoint(path)
     assert models == {}
     assert np.array_equal(sched2.betas, sched.betas)
+
+
+@pytest.mark.parametrize(
+    "name,index,value",
+    [
+        ("denoiser/meta", 1, 7.0),  # unknown conditioning code
+        ("denoiser/layer3/activation", 0, -2.0),  # negative activation index
+        ("denoiser/layer0/activation", 0, 1.7),  # non-integer activation index
+        ("estimator/meta", 0, float("nan")),
+    ],
+)
+def test_malformed_metadata_raises_checkpoint_error(tmp_path, name, index, value):
+    path = tmp_path / "models.nesd"
+    models = {"denoiser": make_denoiser(2, seed=1), "estimator": make_estimator(2, seed=2)}
+    save_checkpoint(models, None, path)
+    tensors = read_tensors(path)
+    tensors[name][index] = value
+    write_tensors(path, tensors)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)

@@ -62,6 +62,18 @@ def test_round_trip_through_text():
     assert parse_text(to_text(RunConfig())) == RunConfig()
 
 
+@pytest.mark.parametrize("text,steps", [("", 6), ("sampler.steps = 4\n", 4)])
+def test_defaults_a_file_leaves_out(text, steps):
+    sampler = parse_text(text).sampler
+    assert sampler.update_rule == "ddim"
+    assert sampler.adjustment_set == frozenset(range(1, steps + 1))
+    assert parse_text(to_text(RunConfig())) == RunConfig()
+
+
+def test_empty_file_gives_the_default_config():
+    assert parse_text("") == RunConfig()
+
+
 def test_dataset_spec_round_trips_weights():
     cfg = parse_text("dataset.components = 2\ndataset.weights = 0.25,0.75\n")
     assert cfg.dataset.weights == (0.25, 0.75)
