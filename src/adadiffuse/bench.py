@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -44,12 +45,23 @@ class BenchRow:
 class MetricsRecord:
     estimator_curve: list[tuple[float, float]] = field(default_factory=list)
     rows: list[BenchRow] = field(default_factory=list)
-    wall_time_ms: dict = field(default_factory=dict)  # (method, N) -> {mean, std}
-    clamp_events: int = 0
 
     def energy_distances(self, method: str, steps: int) -> list[float]:
         return [r.energy_distance for r in self.rows
                 if r.method == method and r.steps == steps]
+
+    @property
+    def wall_time_ms(self) -> dict:
+        """(method, N) -> {mean, std} of the rows' per-sample wall times."""
+        walls = {}
+        for r in sorted(self.rows, key=lambda row: (row.steps, METHODS.index(row.method))):
+            walls.setdefault((r.method, r.steps), []).append(r.wall_ms_per_sample)
+        return {key: {"mean": float(np.mean(w)), "std": float(np.std(w))}
+                for key, w in walls.items()}
+
+    @property
+    def clamp_events(self) -> int:
+        return sum(r.clamp_events for r in self.rows)
 
 
 def _sha(arr: np.ndarray) -> str:
@@ -137,7 +149,7 @@ def write_metrics_json(record: MetricsRecord, path) -> None:
 def read_metrics_json(path) -> MetricsRecord:
     with open(path) as fh:
         payload = json.load(fh)
-    rec = MetricsRecord(
+    return MetricsRecord(
         estimator_curve=[(a, m) for a, m in payload["estimator_curve"]],
         rows=[BenchRow(
             method=r["method"], steps=r["N"], seed=r["seed"],
@@ -145,11 +157,7 @@ def read_metrics_json(path) -> MetricsRecord:
             wall_ms_per_sample=r["wall_ms_per_sample"],
             clamp_events=r["clamp_events"], y_init_sha=r["y_init_sha"],
         ) for r in payload["runs"]],
-        wall_time_ms={(k.split("/")[0], int(k.split("/")[1])): v
-                      for k, v in payload["wall_time_ms"].items()},
-        clamp_events=payload["clamp_events"],
     )
-    return rec
 
 
 def worker_count(n_tasks: int) -> int:
@@ -200,31 +208,19 @@ def run_benchmark(cfg: RunConfig, denoiser: Denoiser, estimator: Estimator,
              for steps in cfg.bench.steps_list for seed in cfg.seeds]
     workers = worker_count(len(tasks))
     try:
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_run_pair, tasks))
-        else:
-            results = [_run_pair(t) for t in tasks]
-        for (rows, runs), (_, _, _, steps, seed, _) in zip(results, tasks):
-            record.rows.extend(rows)
-            if write_traces:
-                for method, run in runs.items():
-                    write_trace_jsonl(
-                        run.steps, out_dir / f"trace_{method}_N{steps}_seed{seed}.jsonl"
-                    )
+        with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+            # each pair is kept as it finishes, so a later failure loses no finished pair
+            results = pool.map(_run_pair, tasks) if pool else map(_run_pair, tasks)
+            for (rows, runs), (_, _, _, steps, seed, _) in zip(results, tasks):
+                record.rows.extend(rows)
+                if write_traces:
+                    for method, run in runs.items():
+                        write_trace_jsonl(
+                            run.steps, out_dir / f"trace_{method}_N{steps}_seed{seed}.jsonl"
+                        )
     finally:
         # flush whatever completed, even on failure
         record.rows.sort(key=lambda r: (r.steps, r.seed, r.method))
-        record.clamp_events = sum(r.clamp_events for r in record.rows)
-        for steps in cfg.bench.steps_list:
-            for method in METHODS:
-                walls = [r.wall_ms_per_sample for r in record.rows
-                         if r.method == method and r.steps == steps]
-                if walls:
-                    record.wall_time_ms[(method, steps)] = {
-                        "mean": float(np.mean(walls)),
-                        "std": float(np.std(walls)),
-                    }
         write_bench_csv(record.rows, out_dir / "bench.csv")
         write_curve_csv(record.estimator_curve, out_dir / "curve.csv")
         write_metrics_json(record, out_dir / "metrics.json")

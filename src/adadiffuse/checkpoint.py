@@ -2,10 +2,14 @@
 
 File layout: magic b"NESD", format version (u32 LE), then per tensor:
 name byte-length (u32 LE), UTF-8 name, rank (u32 LE), dims (u32 LE each),
-raw little-endian float64 values. Round trips are bit-exact.
+raw little-endian float64 values. Round trips are bit-exact. Writes are
+atomic: a temp file in the target's directory is fsynced and then renamed
+over the target, so a failed write leaves any previous file as it was.
 """
 from __future__ import annotations
 
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -26,18 +30,26 @@ _DIM_LIMIT = 2**32  # tensor dims are stored as u32
 
 def write_tensors(path, tensors: dict[str, np.ndarray]) -> None:
     path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        for name, arr in tensors.items():
-            arr = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
-            raw_name = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw_name)))
-            fh.write(raw_name)
-            fh.write(struct.pack("<I", arr.ndim))
-            for d in arr.shape:
-                fh.write(struct.pack("<I", d))
-            fh.write(arr.astype("<f8").tobytes())
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            for name, arr in tensors.items():
+                arr = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
+                raw_name = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(raw_name)))
+                fh.write(raw_name)
+                fh.write(struct.pack("<I", arr.ndim))
+                for d in arr.shape:
+                    fh.write(struct.pack("<I", d))
+                fh.write(arr.astype("<f8").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_tensors(path) -> dict[str, np.ndarray]:
@@ -63,12 +75,18 @@ def read_tensors(path) -> dict[str, np.ndarray]:
 
     while pos < len(blob):
         (name_len,) = struct.unpack("<I", take(4, "name length"))
-        name = take(name_len, "tensor name").decode("utf-8")
+        try:
+            name = take(name_len, "tensor name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: tensor name is not valid UTF-8") from exc
         (rank,) = struct.unpack("<I", take(4, "rank"))
-        dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims")) if rank else ()
-        count = int(np.prod(dims)) if dims else 1
+        dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
+        count = math.prod(dims)
         data = np.frombuffer(take(8 * count, f"values of {name!r}"), dtype="<f8")
-        tensors[name] = data.reshape(dims).astype(np.float64)
+        try:
+            tensors[name] = data.reshape(dims).astype(np.float64)
+        except ValueError as exc:  # more dims than numpy allows, or sizes it cannot index
+            raise CheckpointError(f"{path}: tensor {name!r} has dims {dims}: {exc}") from exc
     return tensors
 
 
@@ -131,6 +149,7 @@ def save_checkpoint(models: dict, schedule: NoiseSchedule | None, path) -> None:
 def load_checkpoint(path) -> tuple[dict, NoiseSchedule | None]:
     tensors = read_tensors(path)
     models: dict = {}
+    schedule = None
     try:
         if "denoiser/meta" in tensors:
             meta = tensors["denoiser/meta"]
@@ -146,11 +165,10 @@ def load_checkpoint(path) -> tuple[dict, NoiseSchedule | None]:
                 net=_network_from_tensors("estimator", tensors),
                 data_dim=_stored_int(meta[0], _DIM_LIMIT, "estimator data_dim"),
             )
+        if "schedule/betas" in tensors:
+            schedule = NoiseSchedule.from_betas(tensors["schedule/betas"])
     except CheckpointError:
         raise
-    except (IndexError, ValueError) as exc:  # short meta, or dims the networks do not fit
-        raise CheckpointError(f"{path}: malformed model metadata: {exc}") from exc
-    schedule = None
-    if "schedule/betas" in tensors:
-        schedule = NoiseSchedule.from_betas(tensors["schedule/betas"])
+    except (IndexError, ValueError) as exc:  # short meta, unfit dims, an invalid schedule
+        raise CheckpointError(f"{path}: malformed model or schedule data: {exc}") from exc
     return models, schedule

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,40 +22,8 @@ from .diffusion import train_denoiser, train_estimator, training_schedule
 from .errors import ConfigError
 from .metrics import eval_estimator_curve
 from .models import make_denoiser, make_estimator
-from .sampler import initial_noise_schedule, sample_adaptive, sample_fixed
+from .sampler import sample_batch
 from .schedule import ScheduleFamily, update_noise_schedule
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="adadiffuse",
-        description="Adaptive noise-schedule diffusion experiments",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="path to a run config file")
-    common.add_argument("--seed", type=int, help="override train/sampler seed")
-    common.add_argument("--out", help="override output directory")
-    sub = parser.add_subparsers(dest="command")
-
-    sub.add_parser("train-denoiser", parents=[common])
-    sub.add_parser("train-estimator", parents=[common])
-
-    p = sub.add_parser("eval-estimator", parents=[common])
-    p.add_argument("--models", help="directory holding estimator.nesd")
-
-    p = sub.add_parser("solve-schedule", parents=[common])
-    p.add_argument("--family", choices=("linear", "fibonacci"), required=True)
-    p.add_argument("--alpha-bar", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--beta0", type=float, required=True)
-
-    p = sub.add_parser("sample", parents=[common])
-    p.add_argument("--models", help="directory holding model checkpoints")
-    p.add_argument("--mode", choices=("fixed", "adaptive"), default="adaptive")
-
-    p = sub.add_parser("benchmark", parents=[common])
-    p.add_argument("--models", help="directory holding model checkpoints")
-    return parser
 
 
 def _require_config(args) -> "RunConfig":
@@ -148,21 +117,14 @@ def _cmd_solve_schedule(args) -> int:
 def _cmd_sample(args) -> int:
     cfg = _require_config(args)
     out = _out_dir(cfg)
-    need = ("denoiser",) if args.mode == "fixed" else ("denoiser", "estimator")
-    models = _load_models(args, cfg, need=need)
-    rng = np.random.default_rng(cfg.sampler.seed)
-    bounds = training_schedule(cfg.train.stage_count).boundaries
-    if args.mode == "fixed":
-        run = sample_fixed(
-            models["denoiser"], initial_noise_schedule(cfg.sampler), cfg.sampler, rng,
-            train_bounds=bounds,
-        )
-    else:
-        run = sample_adaptive(
-            models["denoiser"], models["estimator"], cfg.sampler, rng,
-            train_bounds=bounds,
-        )
-    write_samples_csv(run.y0[None, :], out / "sample.csv")
+    adaptive = args.mode == "adaptive"
+    models = _load_models(args, cfg, need=("denoiser", "estimator") if adaptive else ("denoiser",))
+    run = sample_batch(
+        models["denoiser"], cfg.sampler, np.random.default_rng(cfg.sampler.seed), 1,
+        estimator=models.get("estimator"), adaptive=adaptive,
+        train_bounds=training_schedule(cfg.train.stage_count).boundaries,
+    )
+    write_samples_csv(run.y0, out / "sample.csv")
     write_trace_jsonl(run.steps, out / "trace.jsonl")
     print(f"sampled ({args.mode}, N={cfg.sampler.steps}) -> {out / 'sample.csv'}")
     return 0
@@ -182,32 +144,50 @@ def _cmd_benchmark(args) -> int:
     return 0
 
 
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="adadiffuse",
+        description="Adaptive noise-schedule diffusion experiments",
+    )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="path to a run config file")
+    common.add_argument("--seed", type=int, help="override train/sampler seed")
+    common.add_argument("--out", help="override output directory")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    for which in ("denoiser", "estimator"):
+        p = sub.add_parser(f"train-{which}", parents=[common])
+        p.set_defaults(handler=partial(_cmd_train, which=which))
+
+    p = sub.add_parser("eval-estimator", parents=[common])
+    p.add_argument("--models", help="directory holding estimator.nesd")
+    p.set_defaults(handler=_cmd_eval_estimator)
+
+    p = sub.add_parser("solve-schedule", parents=[common])
+    p.add_argument("--family", choices=("linear", "fibonacci"), required=True)
+    p.add_argument("--alpha-bar", type=float, required=True)
+    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--beta0", type=float, required=True)
+    p.set_defaults(handler=_cmd_solve_schedule)
+
+    p = sub.add_parser("sample", parents=[common])
+    p.add_argument("--models", help="directory holding model checkpoints")
+    p.add_argument("--mode", choices=("fixed", "adaptive"), default="adaptive")
+    p.set_defaults(handler=_cmd_sample)
+
+    p = sub.add_parser("benchmark", parents=[common])
+    p.add_argument("--models", help="directory holding model checkpoints")
+    p.set_defaults(handler=_cmd_benchmark)
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    if not argv:
-        parser.print_usage(sys.stderr)
-        return 2
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "train-denoiser":
-            return _cmd_train(args, "denoiser")
-        if args.command == "train-estimator":
-            return _cmd_train(args, "estimator")
-        if args.command == "eval-estimator":
-            return _cmd_eval_estimator(args)
-        if args.command == "solve-schedule":
-            return _cmd_solve_schedule(args)
-        if args.command == "sample":
-            return _cmd_sample(args)
-        if args.command == "benchmark":
-            return _cmd_benchmark(args)
-        parser.print_usage(sys.stderr)
-        return 2
+        return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

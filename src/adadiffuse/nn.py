@@ -42,11 +42,12 @@ def _apply_activation(tag: str, z: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation {tag!r}")
 
 
-def _activation_grad(tag: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _activation_grad(tag: str, a: np.ndarray) -> np.ndarray:
+    """Slope of the activation, read from its output a = act(z)."""
     if tag == "identity":
-        return np.ones_like(z)
+        return np.ones_like(a)
     if tag == "relu":
-        return (z > 0.0).astype(np.float64)
+        return (a > 0.0).astype(np.float64)  # max(z, 0) > 0 exactly where z > 0
     if tag == "sigmoid":
         return a * (1.0 - a)
     raise ValueError(f"unknown activation {tag!r}")
@@ -128,15 +129,12 @@ class Network:
             raise ShapeError(f"input dim {x.shape} incompatible with input_dim {self.input_dim}")
         check_finite(x, "network input")
         acts = [x]
-        pre = []
         a = x
         for layer in self.layers:
-            z = a @ layer.weight + layer.bias
-            a = _apply_activation(layer.activation, z)
-            pre.append(z)
+            a = _apply_activation(layer.activation, a @ layer.weight + layer.bias)
             acts.append(a)
         check_finite(a, "network output")
-        self._cache = (acts, pre, single)
+        self._cache = (acts, single)
         return a[0] if single else a
 
     def backward(self, grad_out: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -147,7 +145,7 @@ class Network:
         """
         if self._cache is None:
             raise StateError("backward() called before forward()")
-        acts, pre, single = self._cache
+        acts, single = self._cache
         g = _as_f64(grad_out)
         if single:
             g = g[None, :]
@@ -156,7 +154,7 @@ class Network:
         grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(self.layers)
         for k in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[k]
-            gz = g * _activation_grad(layer.activation, pre[k], acts[k + 1])
+            gz = g * _activation_grad(layer.activation, acts[k + 1])
             grads[k] = (acts[k].T @ gz, gz.sum(axis=0))
             if k > 0:
                 g = gz @ layer.weight.T
@@ -168,12 +166,6 @@ class Network:
             out.append(layer.weight)
             out.append(layer.bias)
         return out
-
-    def copy(self) -> "Network":
-        return Network([
-            DenseLayer(layer.weight.copy(), layer.bias.copy(), layer.activation)
-            for layer in self.layers
-        ])
 
 
 def init_network(dims: list[int], activations: list[str], seed: int) -> Network:
@@ -190,6 +182,11 @@ def init_network(dims: list[int], activations: list[str], seed: int) -> Network:
     return Network(layers)
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam moment buffers, congruent to a Network's parameter list."""
@@ -198,18 +195,14 @@ class AdamState:
     second_moment: list[np.ndarray]
     step_count: int = 0
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
-    def for_network(cls, net: Network, learning_rate: float = 1e-3, **kw) -> "AdamState":
+    def for_network(cls, net: Network, learning_rate: float = 1e-3) -> "AdamState":
         params = net.parameters()
         return cls(
             first_moment=[np.zeros_like(p) for p in params],
             second_moment=[np.zeros_like(p) for p in params],
             learning_rate=learning_rate,
-            **kw,
         )
 
 
@@ -232,14 +225,14 @@ def adam_step(net: Network, grads: list[tuple[np.ndarray, np.ndarray]], state: A
             raise ValueError("non-finite gradient entry; parameters left untouched")
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     for g, p, m, v in zip(flat, params, state.first_moment, state.second_moment):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
 
 
 def finite_diff_check(net: Network, x: np.ndarray, loss_fn, step: float = 1e-5) -> float:

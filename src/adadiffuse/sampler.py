@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScheduleError, ShapeError
+from .errors import ConfigError, ScheduleError, ShapeError
 from .models import Denoiser, Estimator
 from .schedule import (
     NoiseSchedule,
@@ -107,10 +107,7 @@ def _reverse_step(y, eps_hat, n: int, beta, abar, abar_prev, rule: str, eta: flo
     """
     if rule == "ddpm":
         alpha = 1.0 - beta
-        # beta = 0 adds no noise: the eps coefficient vanishes even when abar = 1
-        coef = np.divide(1.0 - alpha, np.sqrt(1.0 - abar),
-                         out=np.zeros(np.shape(beta)), where=beta != 0.0)
-        det = (y - coef * eps_hat) / np.sqrt(alpha)
+        det = (y - (1.0 - alpha) / np.sqrt(1.0 - abar) * eps_hat) / np.sqrt(alpha)
         return det, np.sqrt(beta) if n != 1 else np.zeros(np.shape(beta))
     sigma = eta * np.sqrt(beta * (1.0 - abar_prev) * (1.0 - abar))
     resid = 1.0 - abar_prev - sigma**2
@@ -169,6 +166,11 @@ def _reverse_engine(
         raise ScheduleError(f"schedule length {len(schedule)} != configured steps {n_steps}")
     if adjust and estimator is None:
         raise ValueError("adjustment steps configured but no estimator supplied")
+    if cfg.conditioning_mode != denoiser.conditioning_mode:
+        raise ConfigError(
+            f"sampler conditioning {cfg.conditioning_mode!r} does not match the "
+            f"denoiser's {denoiser.conditioning_mode!r}"
+        )
     if cfg.conditioning_mode == "discrete_index" and train_bounds is None:
         raise ValueError("discrete_index conditioning needs the training boundary table")
     dim = denoiser.data_dim

@@ -56,7 +56,10 @@ def boundaries(betas) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Beta sequence with derived alpha, alpha-bar and boundary arrays."""
+    """Beta sequence with derived alpha, alpha-bar and boundary arrays.
+
+    Every beta lies in [BETA_FLOOR, BETA_CEIL] and alpha_bar_N > 0.
+    """
 
     betas: np.ndarray
     alphas: np.ndarray
@@ -65,12 +68,16 @@ class NoiseSchedule:
     clamped: int = 0  # solver entries that hit the beta clamp
 
     @classmethod
-    def from_betas(cls, betas, strict: bool = True, clamped: int = 0) -> "NoiseSchedule":
-        b = _validate_betas(betas, floor=BETA_FLOOR if strict else 0.0)
+    def from_betas(cls, betas, clamped: int = 0) -> "NoiseSchedule":
+        b = _validate_betas(betas, floor=BETA_FLOOR)
+        alpha_bars = cumulative_alpha_bar(b)
+        if alpha_bars[-1] == 0.0:
+            first = int(np.argmax(alpha_bars == 0.0)) + 1
+            raise ScheduleError(f"alpha_bar underflows to 0 at step {first} of {b.size}")
         return cls(
             betas=b,
             alphas=1.0 - b,
-            alpha_bars=cumulative_alpha_bar(b),
+            alpha_bars=alpha_bars,
             boundaries=boundaries(b),
             clamped=clamped,
         )

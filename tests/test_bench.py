@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from adadiffuse import bench
 from adadiffuse.bench import (
     read_bench_csv,
     read_curve_csv,
@@ -14,7 +15,7 @@ from adadiffuse.config import BenchConfig, RunConfig, parse_text
 from adadiffuse.datasets import DatasetSpec
 from adadiffuse.diffusion import TrainConfig
 from adadiffuse.models import make_denoiser, make_estimator
-from adadiffuse.sampler import SamplerConfig, StepRecord, sample_adaptive
+from adadiffuse.sampler import SamplerConfig, StepRecord, sample_adaptive, sample_batch
 from adadiffuse.schedule import ScheduleFamily
 
 
@@ -78,6 +79,29 @@ def test_benchmark_deterministic_across_worker_counts(tiny_setup, tmp_path, monk
     par = run_benchmark(cfg, den, est, tmp_path / "par", write_traces=False)
     assert [r.energy_distance for r in seq.rows] == [r.energy_distance for r in par.rows]
     assert [r.y_init_sha for r in seq.rows] == [r.y_init_sha for r in par.rows]
+
+
+def test_benchmark_keeps_finished_pairs_when_a_later_pair_fails(tiny_setup, tmp_path,
+                                                               monkeypatch):
+    cfg, den, est = tiny_setup
+    monkeypatch.delenv("ADADIFFUSE_THREADS", raising=False)
+    calls = []
+
+    def failing_third_pair(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 5:  # the first of the third pair's two runs
+            raise RuntimeError("injected failure")
+        return sample_batch(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "sample_batch", failing_third_pair)
+    with pytest.raises(RuntimeError, match="injected failure"):
+        run_benchmark(cfg, den, est, tmp_path)
+    rows = read_bench_csv(tmp_path / "bench.csv")
+    assert [(r["seed"], r["method"]) for r in rows] == [
+        (0, "adaptive"), (0, "fixed"), (1, "adaptive"), (1, "fixed")]
+    loaded = read_metrics_json(tmp_path / "metrics.json")
+    assert [r.seed for r in loaded.rows] == [0, 0, 1, 1]
+    assert set(loaded.wall_time_ms) == {("fixed", 4), ("adaptive", 4)}
 
 
 def test_worker_count_env_cap(monkeypatch):

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from adadiffuse.checkpoint import (
     MAGIC,
@@ -12,7 +14,8 @@ from adadiffuse.checkpoint import (
     write_tensors,
 )
 from adadiffuse.errors import CheckpointError
-from adadiffuse.models import make_denoiser, make_estimator
+from adadiffuse.models import EMBED_DIM, Denoiser, Estimator, make_denoiser, make_estimator
+from adadiffuse.nn import init_network
 from adadiffuse.schedule import NoiseSchedule
 
 
@@ -121,3 +124,78 @@ def test_malformed_metadata_raises_checkpoint_error(tmp_path, name, index, value
     write_tensors(path, tensors)
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def test_failed_write_leaves_previous_checkpoint_and_no_temp_file(tmp_path):
+    path = tmp_path / "models.nesd"
+    write_tensors(path, {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(4)})
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        # "a" is written before "b" fails to convert
+        write_tensors(path, {"a": np.zeros(3), "b": np.array(["not a number"])})
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["models.nesd"]
+
+
+HEADER = MAGIC + struct.pack("<I", VERSION)
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _loads_or_raises_checkpoint_error(path, blob, load=read_tensors):
+    path.write_bytes(blob)
+    try:
+        load(path)
+    except CheckpointError:
+        pass
+
+
+def _flipped(blob: bytes, data, min_flips: int = 0) -> bytes:
+    out = bytearray(blob)
+    for pos, mask in data.draw(st.lists(st.tuples(st.integers(0, len(out) - 1),
+                                                  st.integers(1, 255)),
+                                        min_size=min_flips, max_size=3)):
+        out[pos] ^= mask
+    return bytes(out)
+
+
+@FUZZ
+@given(tail=st.binary(max_size=200))
+@example(tail=struct.pack("<I", 1) + b"\xff" + struct.pack("<I", 0))  # name not UTF-8
+@example(tail=struct.pack("<I", 1) + b"x" + struct.pack("<3I", 2, 2**32 - 1, 2**32 - 1))
+@example(tail=struct.pack("<I", 1) + b"x" + struct.pack("<66I", 65, *[0] * 65))  # numpy max 64
+def test_read_tensors_fuzz_bytes_after_valid_header(tmp_path, tail):
+    _loads_or_raises_checkpoint_error(tmp_path / "fuzz.nesd", HEADER + tail)
+
+
+@FUZZ
+@given(data=st.data())
+def test_read_tensors_fuzz_truncated_and_flipped_files(tmp_path, data):
+    valid = tmp_path / "valid.nesd"
+    write_tensors(valid, {"w": np.arange(6.0).reshape(2, 3), "b\u00e9": np.ones(3),
+                          "scalar": np.array(2.5)})
+    blob = _flipped(valid.read_bytes(), data)
+    cut = data.draw(st.integers(0, len(blob)))
+    _loads_or_raises_checkpoint_error(tmp_path / "fuzz.nesd", blob[:cut])
+
+
+def test_invalid_stored_schedule_raises_checkpoint_error(tmp_path):
+    path = tmp_path / "s.nesd"
+    write_tensors(path, {"schedule/betas": np.array([0.01, 5.0])})
+    with pytest.raises(CheckpointError, match="schedule"):
+        load_checkpoint(path)
+
+
+@FUZZ
+@given(data=st.data())
+def test_load_checkpoint_fuzz_flipped_model_files(tmp_path, data):
+    # tiny networks, so that flips hit names, shapes and metadata as often as weights
+    models = {
+        "denoiser": Denoiser(init_network([2 + 1 + EMBED_DIM, 3, 2], ["relu", "identity"], 0), 2),
+        "estimator": Estimator(init_network([2, 3, 1], ["relu", "sigmoid"], 1), 2),
+    }
+    valid = tmp_path / "valid.nesd"
+    save_checkpoint(models, NoiseSchedule.from_betas([0.01, 0.02]), valid)
+    _loads_or_raises_checkpoint_error(tmp_path / "fuzz.nesd",
+                                      _flipped(valid.read_bytes(), data, min_flips=1),
+                                      load=load_checkpoint)

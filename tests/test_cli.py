@@ -115,6 +115,16 @@ def test_train_sample_benchmark_pipeline(cfg_file, capsys):
     assert len(metrics["runs"]) == 4  # 1 N x 2 seeds x 2 methods
 
 
+def test_sample_with_the_other_conditioning_mode_exits_2(cfg_file, capsys):
+    cfg_path, out = cfg_file
+    assert main(["train-denoiser", "--config", str(cfg_path)]) == 0
+    cfg_path.write_text(cfg_path.read_text() + "sampler.conditioning = discrete_index\n")
+    assert main(["sample", "--config", str(cfg_path), "--mode", "fixed"]) == 2
+    err = capsys.readouterr().err
+    assert "discrete_index" in err and "continuous_alpha" in err
+    assert not (out / "sample.csv").exists()
+
+
 def test_sample_without_checkpoints_exits_1(cfg_file, capsys):
     cfg_path, out = cfg_file
     rc = main(["sample", "--config", str(cfg_path), "--mode", "fixed"])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adadiffuse.diffusion import forward_diffuse, training_schedule
-from adadiffuse.errors import ScheduleError
+from adadiffuse.errors import ConfigError, ScheduleError
 from adadiffuse.models import make_denoiser, make_estimator
 from adadiffuse.sampler import (
     SamplerConfig,
@@ -33,13 +33,6 @@ def _cfg(**kw):
     )
     defaults.update(kw)
     return SamplerConfig(**defaults)
-
-
-def test_ddpm_update_zero_beta_is_identity_at_final_step():
-    sched = NoiseSchedule.from_betas([0.0], strict=False)
-    y = np.array([1.5, -0.5])
-    out = ddpm_update(y, np.zeros(2), 1, sched, np.ones(2))
-    np.testing.assert_array_equal(out, y)
 
 
 def test_ddpm_update_zero_noise_prediction_rescales():
@@ -141,6 +134,13 @@ def test_initial_noise_schedule_invariants(kind, n, beta0):
     assert len(sched) == n
     assert np.all(sched.betas >= 1e-6) and np.all(sched.betas <= 0.999)
     assert np.all(np.diff(sched.alpha_bars) < 0) or n == 1
+
+
+def test_initial_noise_schedule_rejects_alpha_bar_underflow():
+    # the clamped Fibonacci recurrence drives alpha_bar to exactly 0 from step 128
+    cfg = _cfg(steps=200, family=ScheduleFamily("fibonacci", 1e-4))
+    with pytest.raises(ScheduleError, match="step 128 of 200"):
+        initial_noise_schedule(cfg)
 
 
 @pytest.fixture(scope="module")
@@ -265,7 +265,8 @@ def test_eta_zero_output_depends_only_on_initial_state(small_models):
 
 
 def test_discrete_index_conditioning_runs(small_models):
-    den, est = small_models
+    _, est = small_models
+    den = make_denoiser(2, seed=100, conditioning_mode="discrete_index")
     cfg = _cfg(steps=6, conditioning_mode="discrete_index",
                adjustment_set=frozenset(range(1, 7)))
     bounds = training_schedule(1000).boundaries
@@ -273,6 +274,18 @@ def test_discrete_index_conditioning_runs(small_models):
     assert np.all(np.isfinite(run.y0))
     with pytest.raises(ValueError):
         sample_adaptive(den, est, cfg, np.random.default_rng(3))  # missing table
+
+
+def test_conditioning_mode_must_match_the_denoiser(small_models):
+    den, est = small_models  # built for continuous_alpha
+    cfg = _cfg(steps=3, conditioning_mode="discrete_index")
+    bounds = training_schedule(100).boundaries
+    with pytest.raises(ConfigError, match="'discrete_index'.*'continuous_alpha'"):
+        sample_batch(den, cfg, np.random.default_rng(0), 4, train_bounds=bounds)
+    discrete = make_denoiser(2, seed=100, conditioning_mode="discrete_index")
+    with pytest.raises(ConfigError, match="'continuous_alpha'.*'discrete_index'"):
+        sample_batch(discrete, _cfg(steps=3), np.random.default_rng(0), 4,
+                     estimator=est, adaptive=True)
 
 
 def test_adaptive_counts_solver_clamps(small_models):

@@ -195,11 +195,16 @@ def test_index_for_level_rejects_bad_boundaries():
 
 def test_noise_schedule_invariants_enforced():
     with pytest.raises(ScheduleError):
-        NoiseSchedule.from_betas([1e-9])  # below the strict floor
+        NoiseSchedule.from_betas([1e-9])  # below the beta floor
     with pytest.raises(ScheduleError):
         NoiseSchedule.from_betas([0.9999])
-    sched = NoiseSchedule.from_betas([1e-9], strict=False)
-    assert sched.boundaries[0] == 1.0
+    with pytest.raises(ScheduleError, match="underflows to 0 at step 108 of 120"):
+        NoiseSchedule.from_betas(np.full(120, 0.999))  # 0.001**108 is below every double
+
+
+def test_cumulative_products_accept_zero_beta():
+    np.testing.assert_array_equal(cumulative_alpha_bar([0.0, 0.75]), [1.0, 0.25])
+    np.testing.assert_array_equal(boundaries([0.0, 0.75]), [1.0, 1.0, 0.5])
 
 
 def test_schedule_family_validation():
