@@ -23,6 +23,7 @@ import numpy as np
 from .config import RunConfig
 from .datasets import generate, held_out
 from .diffusion import training_schedule
+from .errors import ConfigError
 from .metrics import energy_distance, eval_estimator_curve
 from .models import Denoiser, Estimator
 from .sampler import SamplingRun, StepRecord, sample_batch
@@ -162,7 +163,10 @@ def read_metrics_json(path) -> MetricsRecord:
 
 def worker_count(n_tasks: int) -> int:
     env = os.environ.get("ADADIFFUSE_THREADS")
-    cap = max(1, int(env)) if env else 1
+    try:
+        cap = max(1, int(env)) if env else 1
+    except ValueError:
+        raise ConfigError(f"ADADIFFUSE_THREADS must be an integer, got {env!r}") from None
     return max(1, min(cap, n_tasks))
 
 

@@ -13,6 +13,7 @@ from adadiffuse.bench import (
 )
 from adadiffuse.config import BenchConfig, RunConfig, parse_text
 from adadiffuse.datasets import DatasetSpec
+from adadiffuse.errors import ConfigError
 from adadiffuse.diffusion import TrainConfig
 from adadiffuse.models import make_denoiser, make_estimator
 from adadiffuse.sampler import SamplerConfig, StepRecord, sample_adaptive, sample_batch
@@ -110,6 +111,12 @@ def test_worker_count_env_cap(monkeypatch):
     monkeypatch.setenv("ADADIFFUSE_THREADS", "4")
     assert worker_count(8) == 4
     assert worker_count(2) == 2
+
+
+def test_worker_count_rejects_non_integer_env(monkeypatch):
+    monkeypatch.setenv("ADADIFFUSE_THREADS", "abc")
+    with pytest.raises(ConfigError, match="ADADIFFUSE_THREADS"):
+        worker_count(8)
 
 
 def test_trace_jsonl_round_trip(tmp_path):

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adadiffuse import metrics
 from adadiffuse.datasets import DatasetSpec, generate
 from adadiffuse.errors import ShapeError
 from adadiffuse.metrics import energy_distance, eval_estimator_curve
@@ -52,6 +55,82 @@ def test_energy_distance_subsampling_stays_consistent():
     small = energy_distance(a[::4], b[::4])  # exact on 500x500
     assert big == pytest.approx(small, abs=0.05)
     assert abs(energy_distance(a, a.copy())) <= 1e-12  # zero survives striding
+
+
+def _broadcast_pairwise_mean(a, b):
+    d = a[:, None, :] - b[None, :, :]
+    return float(np.sqrt((d * d).sum(axis=-1)).mean())
+
+
+def _broadcast_energy_distance(a, b):
+    """Full-tensor formula with the package's striding rule, as the oracle."""
+    if a.shape[0] * b.shape[0] > metrics.MAX_PAIRS:
+        scale = np.sqrt(metrics.MAX_PAIRS / (a.shape[0] * b.shape[0]))
+        a = metrics._stride_subsample(a, max(1, int(a.shape[0] * scale)))
+        b = metrics._stride_subsample(b, max(1, int(b.shape[0] * scale)))
+    return (2.0 * _broadcast_pairwise_mean(a, b)
+            - _broadcast_pairwise_mean(a, a) - _broadcast_pairwise_mean(b, b))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_blocked_kernel_matches_broadcast_oracle_around_block_boundaries(dim):
+    rng = np.random.default_rng(dim)
+    m = 2048
+    rows = metrics._BLOCK_ELEMS // m
+    b = rng.standard_normal((m, dim))
+    for n in (rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows, 2 * rows + 1):
+        a = rng.standard_normal((n, dim)) + 0.3
+        got = metrics._pairwise_mean(a, b)
+        assert got == pytest.approx(_broadcast_pairwise_mean(a, b), rel=1e-12, abs=0)
+        ed = energy_distance(a, b)
+        assert ed == pytest.approx(_broadcast_energy_distance(a, b), rel=1e-12, abs=0)
+
+
+def test_reference_term_memo_never_serves_a_stale_value(monkeypatch):
+    monkeypatch.setattr(metrics, "MAX_PAIRS", 1000)
+    rng = np.random.default_rng(11)
+    a, b = rng.standard_normal((20, 2)), rng.standard_normal((40, 2))
+
+    def check(x, y):
+        got = energy_distance(x, y)
+        assert got == pytest.approx(_broadcast_energy_distance(x, y), rel=1e-12, abs=0)
+        return got
+
+    first = check(a, b)
+    assert check(a, b.copy()) == first  # equal reference: equal value
+    b[3] += 2.0  # mutated in place between calls
+    check(a, b)
+    check(a, b + 0.5)  # same shape, other values
+    check(rng.standard_normal((30, 2)), b)  # 30 x 40 pairs stride b to 36 rows
+
+
+def test_energy_distance_peak_memory_stays_small(monkeypatch):
+    monkeypatch.setattr(metrics, "_self_term_memo", None)
+    rng = np.random.default_rng(12)
+    a, b = rng.standard_normal((512, 2)), rng.standard_normal((2048, 2))
+    tracemalloc.start()
+    try:
+        energy_distance(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_energy_distance_1d_inputs_are_scalar_samples():
+    # E|X-Y| = 9.5/9, E|X-X'| = 8/9, E|Y-Y'| = 10/9
+    assert energy_distance([0.0, 1.0, 2.0], [0.0, 1.0, 2.5]) == pytest.approx(1 / 9, abs=1e-12)
+    # E|X-Y| = 5/6, E|X-X'| = 8/9, E|Y-Y'| = 1/2
+    assert energy_distance([0.0, 1.0, 2.0], [0.0, 1.0]) == pytest.approx(5 / 18, abs=1e-12)
+    x = np.random.default_rng(13).standard_normal(50)
+    assert energy_distance(x, x + 1.0) == energy_distance(x[:, None], x[:, None] + 1.0)
+
+
+def test_energy_distance_rejects_inputs_above_2d():
+    with pytest.raises(ShapeError):
+        energy_distance(np.zeros((2, 2, 2)), np.zeros((3, 2)))
+    with pytest.raises(ShapeError):
+        energy_distance(np.zeros((3, 2)), np.zeros((2, 2, 2)))
 
 
 @settings(max_examples=20, deadline=None)
