@@ -25,15 +25,14 @@ _self_term_memo: tuple[np.ndarray, float] | None = None
 def _pairwise_mean(a: np.ndarray, b: np.ndarray) -> float:
     """Mean Euclidean distance over all (row of a, row of b) pairs."""
     n, m = a.shape[0], b.shape[0]
-    cols = np.ascontiguousarray(b.T)
     rows = max(1, _BLOCK_ELEMS // m)
     total = 0.0
     for start in range(0, n, rows):
         block = a[start:start + rows]
-        acc = np.subtract.outer(block[:, 0], cols[0])
+        acc = np.subtract.outer(block[:, 0], b[:, 0])
         acc *= acc
         for k in range(1, a.shape[1]):
-            d = np.subtract.outer(block[:, k], cols[k])
+            d = np.subtract.outer(block[:, k], b[:, k])
             d *= d
             acc += d
         np.sqrt(acc, out=acc)
