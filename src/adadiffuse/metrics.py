@@ -44,7 +44,7 @@ def _self_term(b: np.ndarray) -> float:
     """E|Y-Y'| of b, reused while b equals the last reference seen."""
     global _self_term_memo
     memo = _self_term_memo
-    if memo is not None and memo[0].shape == b.shape and np.array_equal(memo[0], b):
+    if memo is not None and np.array_equal(memo[0], b):
         return memo[1]
     value = _pairwise_mean(b, b)
     _self_term_memo = (b.copy(), value)

@@ -13,8 +13,8 @@ from adadiffuse.bench import (
 )
 from adadiffuse.config import BenchConfig, RunConfig, parse_text
 from adadiffuse.datasets import DatasetSpec
-from adadiffuse.errors import ConfigError
 from adadiffuse.diffusion import TrainConfig
+from adadiffuse.errors import ConfigError
 from adadiffuse.models import make_denoiser, make_estimator
 from adadiffuse.sampler import SamplerConfig, StepRecord, sample_adaptive, sample_batch
 from adadiffuse.schedule import ScheduleFamily
