@@ -2,7 +2,9 @@
 
 For each configured step count and seed, one fixed-schedule batch run and
 one adaptive batch run consume identical initial noise (verified by
-hashing). Energy distances are measured against a held-out data batch.
+hashing). The adaptive run re-solves at the steps of sampler.adjust, read
+at each N as _adjustment_for states. Energy distances are measured
+against a held-out data batch.
 Outputs: metrics.json, curve.csv, bench.csv and a trace.jsonl per run,
 all re-parseable by this module. The ADADIFFUSE_THREADS environment
 variable caps the worker count for fanning runs out across processes.
@@ -26,7 +28,7 @@ from .diffusion import training_schedule
 from .errors import ConfigError
 from .metrics import energy_distance, eval_estimator_curve
 from .models import Denoiser, Estimator
-from .sampler import SamplingRun, StepRecord, sample_batch
+from .sampler import SamplerConfig, SamplingRun, StepRecord, sample_batch
 
 METHODS = ("fixed", "adaptive")
 
@@ -170,10 +172,26 @@ def worker_count(n_tasks: int) -> int:
     return max(1, min(cap, n_tasks))
 
 
+def _adjustment_for(sampler: SamplerConfig, steps: int) -> frozenset[int]:
+    """The adjustment set of the benchmark's runs at N = steps.
+
+    The full set 1..sampler.steps means every step of each N and the empty
+    set means no re-solve; any other set names the same step indices at
+    every N, so none of them may exceed N.
+    """
+    adjust = sampler.adjustment_set
+    if adjust == frozenset(range(1, sampler.steps + 1)):
+        return frozenset(range(1, steps + 1))
+    if max(adjust, default=0) > steps:
+        raise ConfigError(
+            f"sampler.adjust step {max(adjust)} exceeds the benchmark's N = {steps}"
+        )
+    return adjust
+
+
 def _run_pair(args) -> tuple[list[BenchRow], dict[str, SamplingRun]]:
-    denoiser, estimator, cfg, steps, seed, reference = args
-    scfg = replace(cfg.sampler, steps=steps,
-                   adjustment_set=frozenset(range(1, steps + 1)))
+    denoiser, estimator, cfg, scfg, seed, reference = args
+    steps = scfg.steps
     bounds = training_schedule(cfg.train.stage_count).boundaries
     batch = cfg.bench.samples_per_run
     rows, runs = [], {}
@@ -200,6 +218,9 @@ def _run_pair(args) -> tuple[list[BenchRow], dict[str, SamplingRun]]:
 def run_benchmark(cfg: RunConfig, denoiser: Denoiser, estimator: Estimator,
                   out_dir, write_traces: bool = True) -> MetricsRecord:
     """Paired fixed/adaptive comparison over cfg.bench.steps_list x cfg.seeds."""
+    # every N's adjustment set is checked before the first pair runs
+    samplers = [replace(cfg.sampler, steps=n, adjustment_set=_adjustment_for(cfg.sampler, n))
+                for n in cfg.bench.steps_list]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     reference = generate(held_out(cfg.dataset, size=cfg.bench.reference_size))
@@ -208,19 +229,19 @@ def run_benchmark(cfg: RunConfig, denoiser: Denoiser, estimator: Estimator,
         estimator, generate(cfg.dataset), cfg.eval_grid, cfg.eval_samples_per_point
     )
 
-    tasks = [(denoiser, estimator, cfg, steps, seed, reference)
-             for steps in cfg.bench.steps_list for seed in cfg.seeds]
+    tasks = [(denoiser, estimator, cfg, scfg, seed, reference)
+             for scfg in samplers for seed in cfg.seeds]
     workers = worker_count(len(tasks))
     try:
         with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
             # each pair is kept as it finishes, so a later failure loses no finished pair
             results = pool.map(_run_pair, tasks) if pool else map(_run_pair, tasks)
-            for (rows, runs), (_, _, _, steps, seed, _) in zip(results, tasks):
+            for (rows, runs), (_, _, _, scfg, seed, _) in zip(results, tasks):
                 record.rows.extend(rows)
                 if write_traces:
                     for method, run in runs.items():
                         write_trace_jsonl(
-                            run.steps, out_dir / f"trace_{method}_N{steps}_seed{seed}.jsonl"
+                            run.steps, out_dir / f"trace_{method}_N{scfg.steps}_seed{seed}.jsonl"
                         )
     finally:
         # flush whatever completed, even on failure

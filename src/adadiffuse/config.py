@@ -34,6 +34,12 @@ class BenchConfig:
     samples_per_run: int = 512
     reference_size: int = 2048
 
+    def __post_init__(self):
+        if not all(n >= 1 for n in self.steps_list):
+            raise ConfigError(f"bench.steps_list entries must be >= 1, got {self.steps_list}")
+        if self.samples_per_run < 1 or self.reference_size < 1:
+            raise ConfigError("bench.samples_per_run and bench.reference_size must be >= 1")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -50,6 +56,12 @@ class RunConfig:
     eval_samples_per_point: int = 256
     seeds: tuple[int, ...] = tuple(range(10))
     checkpoint_every: int = 0  # 0 = final checkpoint only
+
+    def __post_init__(self):
+        if self.eval_samples_per_point < 1:
+            raise ConfigError("eval.samples_per_point must be >= 1")
+        if self.checkpoint_every < 0:
+            raise ConfigError("train.checkpoint_every must be >= 0")
 
 
 def _parse_adjust(v: str, steps: int) -> frozenset[int]:

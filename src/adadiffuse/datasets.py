@@ -112,4 +112,4 @@ def held_out(spec: DatasetSpec, size: int | None = None) -> DatasetSpec:
     """Same distribution, disjoint stream: bumps the seed."""
     from dataclasses import replace
 
-    return replace(spec, seed=spec.seed + 1, size=size or spec.size)
+    return replace(spec, seed=spec.seed + 1, size=spec.size if size is None else size)

@@ -7,13 +7,15 @@ always executes (mean update and its noise injection) under the schedule
 in force when it started; a re-solve triggered at step n governs steps
 n-1 .. 1.
 
-One vectorized engine evolves a batch of independent chains (per-chain
-estimates, per-chain re-solved schedules); the public single-chain
-operations are batch-1 wrappers over it. The engine runs the same code
-as the public formulas: _reverse_step is the one DDPM/DDIM update, with
-ddpm_update and ddim_update as its validated single-state views, and the
-re-solves and level lookups are schedule's _solve_batch, clamp_betas and
-_indices_for_levels.
+One vectorized engine evolves a batch of independent chains; the public
+single-chain operations are batch-1 wrappers over it. Its state is the
+schedule in force for the steps left (betas[:, k-1] = beta_k, abar[:, k]
+= alpha_bar_k): one shared row from the NoiseSchedule, until a re-solve at
+step n replaces it by per-chain (batch, n-1) and (batch, n) arrays that
+the same step code broadcasts. Step records hold prefixes of chain 0's
+row, stored once per installed schedule. The engine runs the public
+formulas' code: _reverse_step (behind ddpm_update and ddim_update),
+_solve_batch, clamp_betas and _indices_for_levels.
 """
 from __future__ import annotations
 
@@ -61,7 +63,8 @@ class SamplerConfig:
 
 @dataclass
 class StepRecord:
-    """One executed reverse step: index, optional estimate, in-force betas."""
+    """One executed reverse step: index, optional estimate, and chain 0's
+    in-force beta_1..beta_n (a read-only view shared by records)."""
 
     n: int
     alpha_hat: float | None
@@ -183,9 +186,9 @@ def _reverse_engine(
             raise ShapeError(f"y_init shape {y.shape} != {(batch, dim)}")
     y_start = y.copy()
 
-    betas = np.tile(schedule.betas, (batch, 1))
-    abar = np.ones((batch, n_steps + 1))
-    abar[:, 1:] = np.cumprod(1.0 - betas, axis=1)
+    betas = schedule.betas[None]
+    abar = np.concatenate([[1.0], schedule.alpha_bars])[None]
+    row0 = betas[0].copy()  # the trace's copy: a view would pin the per-chain arrays
 
     trace: list[StepRecord] = []
     clamp_events = 0
@@ -194,7 +197,8 @@ def _reverse_engine(
     for n in range(n_steps, 0, -1):
         t0 = time.perf_counter()
         abar_n = abar[:, n]
-        in_force = betas[0, :n].copy()
+        in_force = row0[:n]
+        in_force.flags.writeable = False  # records under one schedule share row0
 
         if cfg.conditioning_mode == "discrete_index":
             t_idx = _indices_for_levels(abar_n, train_bounds)
@@ -215,12 +219,13 @@ def _reverse_engine(
             )
             alpha_hat_rec = float(ab_hat[0])
             if n - 1 >= 1:
-                new_betas, n_clamped = clamp_betas(
+                betas, n_clamped = clamp_betas(
                     _solve_batch(ab_hat, n - 1, cfg.family.kind, cfg.family.beta0)
                 )
                 clamp_events += n_clamped
-                betas[:, : n - 1] = new_betas
-                abar[:, 1:n] = np.cumprod(1.0 - new_betas, axis=1)
+                abar = np.ones((batch, n))
+                np.cumprod(1.0 - betas, axis=1, out=abar[:, 1:])
+                row0 = betas[0].copy()
 
         y = y_det + noise_scale * z
         if not np.all(np.isfinite(y)):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,40 @@ def test_benchmark_keeps_finished_pairs_when_a_later_pair_fails(tiny_setup, tmp_
     loaded = read_metrics_json(tmp_path / "metrics.json")
     assert [r.seed for r in loaded.rows] == [0, 0, 1, 1]
     assert set(loaded.wall_time_ms) == {("fixed", 4), ("adaptive", 4)}
+
+
+def _with_adjust(cfg, adjust, steps_list=None):
+    bench_cfg = cfg.bench if steps_list is None else replace(cfg.bench, steps_list=steps_list)
+    return replace(cfg, sampler=replace(cfg.sampler, adjustment_set=frozenset(adjust)),
+                   bench=bench_cfg)
+
+
+def test_benchmark_without_adjustment_runs_fixed_twice(tiny_setup, tmp_path):
+    cfg, den, est = tiny_setup
+    record = run_benchmark(_with_adjust(cfg, ()), den, est, tmp_path, write_traces=False)
+    fixed = [r for r in record.rows if r.method == "fixed"]
+    adaptive = [r for r in record.rows if r.method == "adaptive"]
+    assert [r.energy_distance for r in adaptive] == [r.energy_distance for r in fixed]
+    assert [r.clamp_events for r in adaptive] == [0, 0, 0]
+
+
+def test_benchmark_adjustment_set_per_step_count(tiny_setup, tmp_path):
+    cfg, den, est = tiny_setup
+    cfg = replace(cfg, seeds=(0,))
+    # the full set 1..sampler.steps adjusts every step of each N
+    run_benchmark(_with_adjust(cfg, {1, 2, 3, 4}, (2, 6)), den, est, tmp_path / "all")
+    for n in (2, 6):
+        trace = read_trace_jsonl(tmp_path / "all" / f"trace_adaptive_N{n}_seed0.jsonl")
+        assert all(t.alpha_hat is not None for t in trace)
+    # any other set names the same step indices at every N
+    run_benchmark(_with_adjust(cfg, {2, 3}, (3, 6)), den, est, tmp_path / "some")
+    for n in (3, 6):
+        trace = read_trace_jsonl(tmp_path / "some" / f"trace_adaptive_N{n}_seed0.jsonl")
+        assert {t.n for t in trace if t.alpha_hat is not None} == {2, 3}
+    # an index above some N fails before any pair runs
+    with pytest.raises(ConfigError, match="sampler.adjust step 3"):
+        run_benchmark(_with_adjust(cfg, {3}, (4, 2)), den, est, tmp_path / "bad")
+    assert not (tmp_path / "bad").exists()
 
 
 def test_worker_count_env_cap(monkeypatch):

@@ -148,6 +148,17 @@ def test_benchmark_with_non_integer_threads_exits_2(cfg_file, capsys, monkeypatc
     assert "ADADIFFUSE_THREADS" in capsys.readouterr().err
 
 
+def test_benchmark_with_adjust_step_above_an_n_exits_2(cfg_file, capsys):
+    cfg_path, out = cfg_file
+    assert main(["train-denoiser", "--config", str(cfg_path)]) == 0
+    assert main(["train-estimator", "--config", str(cfg_path)]) == 0
+    text = cfg_path.read_text().replace("sampler.adjust = all", "sampler.adjust = 3")
+    cfg_path.write_text(text.replace("bench.steps_list = 4", "bench.steps_list = 4,2"))
+    assert main(["benchmark", "--config", str(cfg_path)]) == 2
+    assert "sampler.adjust" in capsys.readouterr().err
+    assert not (out / "bench.csv").exists()
+
+
 def test_train_requires_config(capsys):
     assert main(["train-denoiser"]) == 2
 

@@ -44,6 +44,11 @@ def test_bad_value_becomes_config_error():
         parse_text("train.total_steps = soon\n")
     with pytest.raises(ConfigError):
         parse_text("sampler.adjust = 1,two,3\n")
+    for text in ("bench.steps_list = 6,-2", "bench.samples_per_run = 0",
+                 "bench.reference_size = 0", "eval.samples_per_point = 0",
+                 "train.checkpoint_every = -3"):
+        with pytest.raises(ConfigError):
+            parse_text(text + "\n")
 
 
 def test_adjust_forms():

@@ -64,6 +64,13 @@ def test_held_out_differs_but_same_distribution():
     assert not np.array_equal(a, b)
 
 
+def test_held_out_size_zero_is_not_the_default():
+    spec = DatasetSpec(size=256, seed=4)
+    assert held_out(spec).size == 256
+    with pytest.raises(ValueError, match="size"):
+        held_out(spec, size=0)
+
+
 def test_custom_weights_validated():
     with pytest.raises(ValueError):
         DatasetSpec(components=8, weights=(1.0, 2.0))

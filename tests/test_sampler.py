@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from adadiffuse.diffusion import forward_diffuse, training_schedule
 from adadiffuse.errors import ConfigError, ScheduleError
 from adadiffuse.models import make_denoiser, make_estimator
 from adadiffuse.sampler import (
+    AB_CLAMP,
     SamplerConfig,
     ddim_update,
     ddpm_update,
@@ -18,7 +20,7 @@ from adadiffuse.sampler import (
     sample_batch,
     sample_fixed,
 )
-from adadiffuse.schedule import NoiseSchedule, ScheduleFamily
+from adadiffuse.schedule import NoiseSchedule, ScheduleFamily, update_noise_schedule
 
 
 def _cfg(**kw):
@@ -235,6 +237,61 @@ def test_engine_replay_matches_public_updates(small_models):
             else:
                 y = ddim_update(y, eps_hat, n, sched, eta, z)
         np.testing.assert_allclose(run.y0, y, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["linear", "fibonacci"])
+@pytest.mark.parametrize("adjust", [{8, 5, 2}, set(range(1, 9))], ids=["8,5,2", "all"])
+@pytest.mark.parametrize("rule,eta", [("ddpm", 0.0), ("ddim", 0.0), ("ddim", 0.7)])
+def test_adaptive_engine_matches_public_formula_replay(small_models, kind, adjust, rule, eta):
+    # replay the engine's rng stream with the public update, estimator and
+    # re-solve: every re-solve installs update_noise_schedule's schedule
+    den, est = small_models
+    cfg = _cfg(steps=8, adjustment_set=frozenset(adjust), family=ScheduleFamily(kind, 1e-4),
+               update_rule=rule, eta=eta)
+    run = sample_adaptive(den, est, cfg, np.random.default_rng(17))
+
+    def update(y, eps_hat, n, sched, z):
+        if rule == "ddpm":
+            return ddpm_update(y, eps_hat, n, sched, z)
+        return ddim_update(y, eps_hat, n, sched, eta, z)
+
+    rng = np.random.default_rng(17)
+    y = rng.standard_normal((1, 2))[0]
+    sched = initial_noise_schedule(cfg)
+    clamps = 0
+    assert [rec.n for rec in run.steps] == list(range(8, 0, -1))
+    for n, rec in zip(range(8, 0, -1), run.steps):
+        np.testing.assert_array_equal(rec.betas, sched.betas[:n])
+        eps_hat = den.predict(y, np.sqrt(sched.alpha_bar(n)))
+        z = rng.standard_normal((1, 2))[0]
+        det = update(y, eps_hat, n, sched, np.zeros(2))
+        y = update(y, eps_hat, n, sched, z)
+        if n not in adjust:
+            assert rec.alpha_hat is None
+            continue
+        ab_hat = float(np.clip(est.predict(det), AB_CLAMP, 1.0 - AB_CLAMP))
+        assert rec.alpha_hat == ab_hat
+        if n > 1:
+            sched = update_noise_schedule(ab_hat, n - 1, cfg.family)
+            clamps += sched.clamped
+    np.testing.assert_array_equal(run.y0, y)
+    assert run.clamp_events == clamps
+
+
+def test_fixed_run_holds_one_schedule_row(small_models):
+    # a shared schedule is state of shape (N,): no per-chain copy of it and
+    # no per-step copy for the trace
+    den, _ = small_models
+    cfg = _cfg(steps=1000, update_rule="ddim")
+    tracemalloc.start()
+    try:
+        run = sample_batch(den, cfg, np.random.default_rng(0), 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert all(rec.betas.base is run.steps[0].betas.base for rec in run.steps)
+    assert not run.steps[0].betas.flags.writeable
 
 
 def test_batched_chains_match_single_runs_at_eta_zero(small_models):
