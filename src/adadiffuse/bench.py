@@ -5,9 +5,10 @@ one adaptive batch run consume identical initial noise (verified by
 hashing). The adaptive run re-solves at the steps of sampler.adjust, read
 at each N as _adjustment_for states. Energy distances are measured
 against a held-out data batch.
-Outputs: metrics.json, curve.csv, bench.csv and a trace.jsonl per run,
-all re-parseable by this module. The ADADIFFUSE_THREADS environment
-variable caps the worker count for fanning runs out across processes.
+Outputs: metrics.json, curve.csv, bench.csv and a trace.jsonl per run
+(one StepRecord per line), all re-parseable by this module. The
+ADADIFFUSE_THREADS environment variable caps the worker count for
+fanning runs out across processes.
 """
 from __future__ import annotations
 
@@ -73,27 +74,12 @@ def _sha(arr: np.ndarray) -> str:
 
 def write_trace_jsonl(steps: list[StepRecord], path) -> None:
     with open(path, "w") as fh:
-        for rec in steps:
-            fh.write(json.dumps({
-                "n": rec.n,
-                "alpha_hat": rec.alpha_hat,
-                "betas": [float(b) for b in rec.betas],
-                "wall_ms": rec.wall_ms,
-            }) + "\n")
+        fh.writelines(json.dumps(vars(rec)) + "\n" for rec in steps)
 
 
 def read_trace_jsonl(path) -> list[StepRecord]:
-    out = []
     with open(path) as fh:
-        for line in fh:
-            obj = json.loads(line)
-            out.append(StepRecord(
-                n=int(obj["n"]),
-                alpha_hat=obj["alpha_hat"],
-                betas=np.asarray(obj["betas"], dtype=np.float64),
-                wall_ms=float(obj["wall_ms"]),
-            ))
-    return out
+        return [StepRecord(**json.loads(line)) for line in fh]
 
 
 def write_curve_csv(curve, path) -> None:
@@ -216,7 +202,7 @@ def _run_pair(args) -> tuple[list[BenchRow], dict[str, SamplingRun]]:
 
 
 def run_benchmark(cfg: RunConfig, denoiser: Denoiser, estimator: Estimator,
-                  out_dir, write_traces: bool = True) -> MetricsRecord:
+                  out_dir) -> MetricsRecord:
     """Paired fixed/adaptive comparison over cfg.bench.steps_list x cfg.seeds."""
     # every N's adjustment set is checked before the first pair runs
     samplers = [replace(cfg.sampler, steps=n, adjustment_set=_adjustment_for(cfg.sampler, n))
@@ -238,11 +224,10 @@ def run_benchmark(cfg: RunConfig, denoiser: Denoiser, estimator: Estimator,
             results = pool.map(_run_pair, tasks) if pool else map(_run_pair, tasks)
             for (rows, runs), (_, _, _, scfg, seed, _) in zip(results, tasks):
                 record.rows.extend(rows)
-                if write_traces:
-                    for method, run in runs.items():
-                        write_trace_jsonl(
-                            run.steps, out_dir / f"trace_{method}_N{scfg.steps}_seed{seed}.jsonl"
-                        )
+                for method, run in runs.items():
+                    write_trace_jsonl(
+                        run.steps, out_dir / f"trace_{method}_N{scfg.steps}_seed{seed}.jsonl"
+                    )
     finally:
         # flush whatever completed, even on failure
         record.rows.sort(key=lambda r: (r.steps, r.seed, r.method))

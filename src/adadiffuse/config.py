@@ -37,6 +37,8 @@ class BenchConfig:
     def __post_init__(self):
         if not all(n >= 1 for n in self.steps_list):
             raise ConfigError(f"bench.steps_list entries must be >= 1, got {self.steps_list}")
+        if len(set(self.steps_list)) != len(self.steps_list):
+            raise ConfigError(f"bench.steps_list repeats an entry: {self.steps_list}")
         if self.samples_per_run < 1 or self.reference_size < 1:
             raise ConfigError("bench.samples_per_run and bench.reference_size must be >= 1")
 
@@ -62,6 +64,10 @@ class RunConfig:
             raise ConfigError("eval.samples_per_point must be >= 1")
         if self.checkpoint_every < 0:
             raise ConfigError("train.checkpoint_every must be >= 0")
+        if not all(0.0 < g < 1.0 for g in self.eval_grid):
+            raise ConfigError(f"eval.grid values must lie in (0, 1), got {self.eval_grid}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds repeats an entry: {self.seeds}")
 
 
 def _parse_adjust(v: str, steps: int) -> frozenset[int]:

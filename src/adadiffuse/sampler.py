@@ -12,10 +12,12 @@ single-chain operations are batch-1 wrappers over it. Its state is the
 schedule in force for the steps left (betas[:, k-1] = beta_k, abar[:, k]
 = alpha_bar_k): one shared row from the NoiseSchedule, until a re-solve at
 step n replaces it by per-chain (batch, n-1) and (batch, n) arrays that
-the same step code broadcasts. Step records hold prefixes of chain 0's
-row, stored once per installed schedule. The engine runs the public
-formulas' code: _reverse_step (behind ddpm_update and ddim_update),
-_solve_batch, clamp_betas and _indices_for_levels.
+the same step code broadcasts. A step record holds the beta_n and
+alpha_bar_n that chain 0's step ran under, so a run's trace is O(N):
+chain 0's whole in-force schedule after a re-solve at step n is
+update_noise_schedule(rec.alpha_hat, n - 1, cfg.family). The engine runs
+the public formulas' code: _reverse_step (behind ddpm_update and
+ddim_update), _solve_batch, clamp_betas and _indices_for_levels.
 """
 from __future__ import annotations
 
@@ -57,18 +59,19 @@ class SamplerConfig:
             raise ValueError("adjustment set must be a subset of {1..steps}")
         if self.update_rule not in UPDATE_RULES:
             raise ValueError(f"unknown update rule {self.update_rule!r}")
-        if self.eta < 0:
-            raise ValueError("eta must be nonnegative")
+        if not (np.isfinite(self.eta) and self.eta >= 0):
+            raise ValueError(f"eta must be finite and nonnegative, got {self.eta}")
 
 
 @dataclass
 class StepRecord:
-    """One executed reverse step: index, optional estimate, and chain 0's
-    in-force beta_1..beta_n (a read-only view shared by records)."""
+    """One executed reverse step: index, optional estimate, and the beta_n
+    and alpha_bar_n chain 0's step ran under (before any re-solve)."""
 
     n: int
     alpha_hat: float | None
-    betas: np.ndarray
+    beta: float
+    alpha_bar: float
     wall_ms: float
 
 
@@ -188,7 +191,6 @@ def _reverse_engine(
 
     betas = schedule.betas[None]
     abar = np.concatenate([[1.0], schedule.alpha_bars])[None]
-    row0 = betas[0].copy()  # the trace's copy: a view would pin the per-chain arrays
 
     trace: list[StepRecord] = []
     clamp_events = 0
@@ -197,8 +199,7 @@ def _reverse_engine(
     for n in range(n_steps, 0, -1):
         t0 = time.perf_counter()
         abar_n = abar[:, n]
-        in_force = row0[:n]
-        in_force.flags.writeable = False  # records under one schedule share row0
+        beta_rec, abar_rec = float(betas[0, n - 1]), float(abar_n[0])  # before a re-solve
 
         if cfg.conditioning_mode == "discrete_index":
             t_idx = _indices_for_levels(abar_n, train_bounds)
@@ -225,7 +226,6 @@ def _reverse_engine(
                 clamp_events += n_clamped
                 abar = np.ones((batch, n))
                 np.cumprod(1.0 - betas, axis=1, out=abar[:, 1:])
-                row0 = betas[0].copy()
 
         y = y_det + noise_scale * z
         if not np.all(np.isfinite(y)):
@@ -234,7 +234,8 @@ def _reverse_engine(
             StepRecord(
                 n=n,
                 alpha_hat=alpha_hat_rec,
-                betas=in_force,
+                beta=beta_rec,
+                alpha_bar=abar_rec,
                 wall_ms=(time.perf_counter() - t0) * 1e3,
             )
         )

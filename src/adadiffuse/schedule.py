@@ -1,12 +1,11 @@
 """Noise-schedule algebra and the closed-form remaining-schedule solvers.
 
 A schedule is a per-step noise sequence beta_1..beta_N with derived
-retention factors alpha_i = 1 - beta_i, cumulative products alpha_bar_n,
-and interval boundaries l_0..l_N (square roots of the cumulative
-products, l_0 = 1). Two solver families reconstruct a schedule for a
-given remaining step count from a target cumulative retention: an
-arithmetic progression and a Fibonacci recurrence with golden-ratio
-closed form.
+cumulative retentions alpha_bar_n = prod_{i<=n}(1 - beta_i) and interval
+boundaries l_0..l_N (their square roots, l_0 = 1). Two solver families
+reconstruct a schedule for a given remaining step count from a target
+cumulative retention: an arithmetic progression and a Fibonacci
+recurrence with golden-ratio closed form.
 
 Each formula has one vectorized implementation that the sampler runs
 per chain: _solve_batch (both closed forms), clamp_betas (the beta clip)
@@ -56,13 +55,12 @@ def boundaries(betas) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Beta sequence with derived alpha, alpha-bar and boundary arrays.
+    """Beta sequence with derived alpha-bar and boundary arrays.
 
     Every beta lies in [BETA_FLOOR, BETA_CEIL] and alpha_bar_N > 0.
     """
 
     betas: np.ndarray
-    alphas: np.ndarray
     alpha_bars: np.ndarray
     boundaries: np.ndarray
     clamped: int = 0  # solver entries that hit the beta clamp
@@ -76,7 +74,6 @@ class NoiseSchedule:
             raise ScheduleError(f"alpha_bar underflows to 0 at step {first} of {b.size}")
         return cls(
             betas=b,
-            alphas=1.0 - b,
             alpha_bars=alpha_bars,
             boundaries=boundaries(b),
             clamped=clamped,

@@ -186,7 +186,7 @@ def benchmark_record(run_config, trained_denoiser, trained_estimator, tmp_path_f
     t0 = time.perf_counter()
     record = run_benchmark(
         run_config, trained_denoiser, trained_estimator,
-        tmp_path_factory.mktemp("bench"), write_traces=False,
+        tmp_path_factory.mktemp("bench"),
     )
     assert time.perf_counter() - t0 < 1200
     return record
@@ -238,7 +238,7 @@ def test_criterion_7_overhead_bound(run_config, trained_denoiser, trained_estima
     )
     record = run_benchmark(
         cfg, trained_denoiser, trained_estimator,
-        tmp_path_factory.mktemp("timing"), write_traces=False,
+        tmp_path_factory.mktemp("timing"),
     )
     ratios = {}
     for steps in (10, 20, 50, 100):

@@ -186,7 +186,7 @@ def test_adaptive_with_empty_adjustment_reduces_to_fixed(small_models, rule):
     np.testing.assert_array_equal(fixed.y0, adaptive.y0)
     for a, b in zip(fixed.steps, adaptive.steps):
         assert a.n == b.n and a.alpha_hat is None and b.alpha_hat is None
-        np.testing.assert_array_equal(a.betas, b.betas)
+        assert (a.beta, a.alpha_bar) == (b.beta, b.alpha_bar)
 
 
 def test_adaptive_records_every_query(small_models):
@@ -196,8 +196,11 @@ def test_adaptive_records_every_query(small_models):
     hats = [rec.alpha_hat for rec in run.steps]
     assert len(run.steps) == 6
     assert all(h is not None and 0.0 < h < 1.0 for h in hats)
-    # in-force schedule shrinks with the remaining step count
-    assert [rec.betas.size for rec in run.steps] == [6, 5, 4, 3, 2, 1]
+    # each step runs under the schedule the previous step's estimate re-solved
+    assert [rec.n for rec in run.steps] == [6, 5, 4, 3, 2, 1]
+    for prev, rec in zip(run.steps, run.steps[1:]):
+        sched = update_noise_schedule(prev.alpha_hat, prev.n - 1, cfg.family)
+        assert (rec.beta, rec.alpha_bar) == (sched.betas[-1], sched.alpha_bar(rec.n))
 
 
 def test_adaptive_alpha_hat_only_on_adjustment_steps(small_models):
@@ -213,8 +216,9 @@ def test_adaptive_installed_schedules_satisfy_invariants(small_models):
     cfg = _cfg(steps=8, adjustment_set=frozenset(range(1, 9)), update_rule="ddim")
     run = sample_adaptive(den, est, cfg, np.random.default_rng(12))
     for rec in run.steps:
-        sched = NoiseSchedule.from_betas(rec.betas)  # strict validation
-        assert np.all(np.diff(sched.alpha_bars) < 0) or len(sched) == 1
+        if rec.n > 1:  # the schedule this re-solve installed for steps n-1 .. 1
+            sched = update_noise_schedule(rec.alpha_hat, rec.n - 1, cfg.family)  # validated
+            assert np.all(np.diff(sched.alpha_bars) < 0) or len(sched) == 1
     assert np.all(np.isfinite(run.y0))
 
 
@@ -261,7 +265,7 @@ def test_adaptive_engine_matches_public_formula_replay(small_models, kind, adjus
     clamps = 0
     assert [rec.n for rec in run.steps] == list(range(8, 0, -1))
     for n, rec in zip(range(8, 0, -1), run.steps):
-        np.testing.assert_array_equal(rec.betas, sched.betas[:n])
+        assert rec.beta == sched.betas[n - 1] and rec.alpha_bar == sched.alpha_bar(n)
         eps_hat = den.predict(y, np.sqrt(sched.alpha_bar(n)))
         z = rng.standard_normal((1, 2))[0]
         det = update(y, eps_hat, n, sched, np.zeros(2))
@@ -279,19 +283,30 @@ def test_adaptive_engine_matches_public_formula_replay(small_models, kind, adjus
 
 
 def test_fixed_run_holds_one_schedule_row(small_models):
-    # a shared schedule is state of shape (N,): no per-chain copy of it and
-    # no per-step copy for the trace
+    # a shared schedule is state of shape (N,): no per-chain copy of it
     den, _ = small_models
     cfg = _cfg(steps=1000, update_rule="ddim")
     tracemalloc.start()
     try:
-        run = sample_batch(den, cfg, np.random.default_rng(0), 512)
+        sample_batch(den, cfg, np.random.default_rng(0), 512)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2**20, f"peak {peak / 2**20:.1f} MiB"
-    assert all(rec.betas.base is run.steps[0].betas.base for rec in run.steps)
-    assert not run.steps[0].betas.flags.writeable
+
+
+def test_adaptive_run_holds_no_schedule_copies(small_models):
+    # step records hold scalars, so what a returned 1000-step run keeps is O(N)
+    den, est = small_models
+    cfg = _cfg(steps=1000, update_rule="ddim", adjustment_set=frozenset(range(1, 1001)))
+    tracemalloc.start()
+    try:
+        run = sample_batch(den, cfg, np.random.default_rng(0), 8, estimator=est, adaptive=True)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(run.steps) == 1000
+    assert held < 2**20, f"run holds {held / 2**20:.2f} MiB"
 
 
 def test_batched_chains_match_single_runs_at_eta_zero(small_models):
