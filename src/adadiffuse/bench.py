@@ -26,7 +26,7 @@ import numpy as np
 from .config import RunConfig
 from .datasets import generate, held_out
 from .diffusion import training_schedule
-from .errors import ConfigError
+from .errors import ConfigError, TraceError
 from .metrics import energy_distance, eval_estimator_curve
 from .models import Denoiser, Estimator
 from .sampler import SamplerConfig, SamplingRun, StepRecord, sample_batch
@@ -78,8 +78,14 @@ def write_trace_jsonl(steps: list[StepRecord], path) -> None:
 
 
 def read_trace_jsonl(path) -> list[StepRecord]:
-    with open(path) as fh:
-        return [StepRecord(**json.loads(line)) for line in fh]
+    records = []
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            try:
+                records.append(StepRecord(**json.loads(line)))
+            except (TypeError, ValueError) as exc:
+                raise TraceError(f"{path}, line {lineno}: not a step record: {exc}") from None
+    return records
 
 
 def write_curve_csv(curve, path) -> None:

@@ -19,3 +19,7 @@ class CheckpointError(ValueError):
 
 class ConfigError(ValueError):
     """Unparseable run configuration or unknown/invalid keys."""
+
+
+class TraceError(ValueError):
+    """Malformed line in a trace file."""

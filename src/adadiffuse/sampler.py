@@ -9,10 +9,13 @@ n-1 .. 1.
 
 One vectorized engine evolves a batch of independent chains; the public
 single-chain operations are batch-1 wrappers over it. Its state is the
-schedule in force for the steps left (betas[:, k-1] = beta_k, abar[:, k]
-= alpha_bar_k): one shared row from the NoiseSchedule, until a re-solve at
-step n replaces it by per-chain (batch, n-1) and (batch, n) arrays that
-the same step code broadcasts. A step record holds the beta_n and
+schedule in force as rows from a base step lo (betas[k - lo] = beta_k,
+abar[k - lo + 1] = alpha_bar_k): first one shared column from the
+NoiseSchedule. A re-solve at step n replaces it by per-chain rows for
+steps lo..n-1 only, lo being the step of the next re-solve or 1; the
+alpha_bar_{lo-1} they start from is folded in blocks of rows
+(schedule._solve_window), so no (batch, n) array is built. The same step
+code broadcasts either form. A step record holds the beta_n and
 alpha_bar_n that chain 0's step ran under, so a run's trace is O(N):
 chain 0's whole in-force schedule after a re-solve at step n is
 update_noise_schedule(rec.alpha_hat, n - 1, cfg.family). The engine runs
@@ -32,7 +35,7 @@ from .schedule import (
     NoiseSchedule,
     ScheduleFamily,
     _indices_for_levels,
-    _solve_batch,
+    _solve_window,
     clamp_betas,
 )
 
@@ -189,8 +192,11 @@ def _reverse_engine(
             raise ShapeError(f"y_init shape {y.shape} != {(batch, dim)}")
     y_start = y.copy()
 
-    betas = schedule.betas[None]
-    abar = np.concatenate([[1.0], schedule.alpha_bars])[None]
+    # the in-force schedule holds steps lo..: betas[k - lo] = beta_k and
+    # abar[k - lo + 1] = alpha_bar_k, one column shared or one per chain
+    lo = 1
+    betas = schedule.betas[:, None]
+    abar = np.concatenate([[1.0], schedule.alpha_bars])[:, None]
 
     trace: list[StepRecord] = []
     clamp_events = 0
@@ -198,8 +204,8 @@ def _reverse_engine(
 
     for n in range(n_steps, 0, -1):
         t0 = time.perf_counter()
-        abar_n = abar[:, n]
-        beta_rec, abar_rec = float(betas[0, n - 1]), float(abar_n[0])  # before a re-solve
+        beta_n, abar_n, abar_prev = betas[n - lo], abar[n - lo + 1], abar[n - lo]
+        beta_rec, abar_rec = float(beta_n[0]), float(abar_n[0])  # before a re-solve
 
         if cfg.conditioning_mode == "discrete_index":
             t_idx = _indices_for_levels(abar_n, train_bounds)
@@ -209,7 +215,7 @@ def _reverse_engine(
         eps_hat = denoiser.net.forward(denoiser.conditioned_input(y, cond))
         z = rng.standard_normal((batch, dim))
         y_det, noise_scale = _reverse_step(
-            y, eps_hat, n, betas[:, n - 1, None], abar[:, n, None], abar[:, n - 1, None],
+            y, eps_hat, n, beta_n[:, None], abar_n[:, None], abar_prev[:, None],
             cfg.update_rule, cfg.eta,
         )
 
@@ -220,12 +226,12 @@ def _reverse_engine(
             )
             alpha_hat_rec = float(ab_hat[0])
             if n - 1 >= 1:
-                betas, n_clamped = clamp_betas(
-                    _solve_batch(ab_hat, n - 1, cfg.family.kind, cfg.family.beta0)
+                # the new schedule governs steps down to the next re-solve's
+                lo = next((k for k in range(n - 1, 1, -1) if k in adjust), 1)
+                betas, abar, n_clamped = _solve_window(
+                    ab_hat, n - 1, cfg.family.kind, cfg.family.beta0, lo
                 )
                 clamp_events += n_clamped
-                abar = np.ones((batch, n))
-                np.cumprod(1.0 - betas, axis=1, out=abar[:, 1:])
 
         y = y_det + noise_scale * z
         if not np.all(np.isfinite(y)):
@@ -299,6 +305,8 @@ def sample_batch(
     y_init: np.ndarray | None = None,
 ) -> SamplingRun:
     """Evolve a batch of independent chains in one vectorized run."""
+    if batch < 1:
+        raise ShapeError(f"batch must be >= 1, got {batch}")
     return _reverse_engine(
         denoiser, initial_noise_schedule(cfg), cfg, rng,
         estimator=estimator if adaptive else None,

@@ -8,8 +8,9 @@ cumulative retention: an arithmetic progression and a Fibonacci
 recurrence with golden-ratio closed form.
 
 Each formula has one vectorized implementation that the sampler runs
-per chain: _solve_batch (both closed forms), clamp_betas (the beta clip)
-and _indices_for_levels (the level-to-interval lookup). solve_linear,
+per chain: _solve_batch (both closed forms, at any rows), clamp_betas
+(the beta clip) and _indices_for_levels (the level-to-interval lookup);
+_solve_window runs the first two block by block. solve_linear,
 solve_fibonacci, update_noise_schedule and index_for_level are their
 validated batch-1 views.
 """
@@ -24,6 +25,8 @@ from .errors import ScheduleError
 
 BETA_FLOOR = 1e-6
 BETA_CEIL = 0.999
+
+WINDOW_BLOCK = 128  # schedule rows per block of _solve_window's alpha_bar fold
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 PHI_CONJ = (1.0 - math.sqrt(5.0)) / 2.0
@@ -109,25 +112,57 @@ def clamp_betas(raw: np.ndarray) -> tuple[np.ndarray, int]:
     return clamped, int(np.count_nonzero(clamped != raw))
 
 
-def _solve_batch(ab_hat: np.ndarray, n: int, kind: str, beta0: float) -> np.ndarray:
-    """Unclamped remaining n-step betas for a batch of targets, one row each.
+def _solve_batch(
+    ab_hat: np.ndarray, n: int, kind: str, beta0: float, start: int = 0, stop: int | None = None
+) -> np.ndarray:
+    """Unclamped remaining n-step betas for a batch of targets, one column each.
 
-    The single solver behind solve_linear, solve_fibonacci,
-    update_noise_schedule and the sampler's per-chain re-solves.
+    Rows start..stop-1 (default all n) of the solution: entry [j, c] is
+    chain c's beta_{start+j+1}. The single solver behind solve_linear,
+    solve_fibonacci, update_noise_schedule and the sampler's re-solves.
     """
+    i = np.arange(start, n if stop is None else stop, dtype=np.float64)[:, None]
     if n == 1:
-        return (1.0 - ab_hat)[:, None]
+        return (1.0 - ab_hat)[None, :]
     if kind == "linear":
         x = -2.0 * (np.log(ab_hat) + n * beta0) / (n * (n - 1))
-        return beta0 + x[:, None] * np.arange(n)
+        return beta0 + x * i
     target = -np.log(ab_hat)
     if n == 2:
-        return np.stack([np.full_like(target, beta0), target - beta0], axis=1)
+        return np.where(i == 0, beta0, target - beta0)
     geo = lambda r: (r**n - 1.0) / (r - 1.0)
     a = (target - beta0 * geo(PHI_CONJ)) / (geo(PHI) - geo(PHI_CONJ))
     b = beta0 - a
-    i = np.arange(n)
-    return a[:, None] * PHI**i + b[:, None] * PHI_CONJ**i
+    return a * PHI**i + b * PHI_CONJ**i
+
+
+def _solve_window(ab_hat: np.ndarray, n: int, kind: str, beta0: float, lo: int):
+    """Steps lo..n of the clamped remaining n-step schedules, with exact alpha_bars.
+
+    Returns (betas, abar, clamped) in a (steps, batch) layout: betas[k - lo]
+    = beta_k for k in lo..n, abar[k - lo + 1] = alpha_bar_k for k in
+    lo-1..n, and clamped counts the clipped entries of all n rows. The
+    alpha_bar_{lo-1} prefix is folded in blocks of WINDOW_BLOCK rows, each
+    a sequential product along axis 0, so every alpha_bar has the bits of
+    cumulative_alpha_bar on the whole schedule and no (batch, n) array is
+    built.
+    """
+    prefix = np.ones(ab_hat.size)  # alpha_bar after the rows folded so far
+    clamped = 0
+    for start in range(0, lo - 1, WINDOW_BLOCK):
+        stop = min(start + WINDOW_BLOCK, lo - 1)
+        block, n_clamped = clamp_betas(_solve_batch(ab_hat, n, kind, beta0, start, stop))
+        clamped += n_clamped
+        np.subtract(1.0, block, out=block)
+        block[0] *= prefix
+        prefix = np.multiply.reduce(block, axis=0)
+    betas, n_clamped = clamp_betas(_solve_batch(ab_hat, n, kind, beta0, lo - 1))
+    abar = np.empty((betas.shape[0] + 1, ab_hat.size))
+    abar[0] = prefix
+    np.subtract(1.0, betas, out=abar[1:])
+    for k in range(1, abar.shape[0]):
+        abar[k] *= abar[k - 1]
+    return betas, abar, clamped + n_clamped
 
 
 def _solve_one(alpha_bar_hat: float, n: int, kind: str, beta0: float) -> np.ndarray:
@@ -135,7 +170,7 @@ def _solve_one(alpha_bar_hat: float, n: int, kind: str, beta0: float) -> np.ndar
         raise ScheduleError(f"remaining step count must be >= 1, got {n}")
     if not (0.0 < alpha_bar_hat < 1.0) or not math.isfinite(alpha_bar_hat):
         raise ScheduleError(f"target alpha_bar {alpha_bar_hat} outside (0, 1)")
-    return _solve_batch(np.array([alpha_bar_hat], dtype=np.float64), n, kind, beta0)[0]
+    return _solve_batch(np.array([alpha_bar_hat], dtype=np.float64), n, kind, beta0)[:, 0]
 
 
 def solve_linear(alpha_bar_hat: float, n: int, beta0: float, clamp: bool = True) -> np.ndarray:

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import pytest
@@ -15,7 +16,7 @@ from adadiffuse.bench import (
 from adadiffuse.config import BenchConfig, RunConfig, parse_text
 from adadiffuse.datasets import DatasetSpec
 from adadiffuse.diffusion import TrainConfig
-from adadiffuse.errors import ConfigError
+from adadiffuse.errors import ConfigError, TraceError
 from adadiffuse.models import make_denoiser, make_estimator
 from adadiffuse.sampler import SamplerConfig, StepRecord, sample_adaptive, sample_batch
 from adadiffuse.schedule import ScheduleFamily
@@ -162,6 +163,20 @@ def test_trace_jsonl_round_trip(tmp_path):
     path = tmp_path / "t.jsonl"
     write_trace_jsonl(steps, path)
     assert read_trace_jsonl(path) == steps
+
+
+@pytest.mark.parametrize("bad", [
+    '{"n": 3, "alpha_hat": null, "betas": [0.01, 0.02], "wall_ms": 1.0}',  # old format
+    '{"n": 3, "alpha_hat": null, "beta": 0.0',  # truncated
+], ids=["old-format", "truncated"])
+def test_trace_reader_names_file_and_line_of_a_malformed_line(tmp_path, bad):
+    path = tmp_path / "t.jsonl"
+    good = StepRecord(n=4, alpha_hat=None, beta=0.01, alpha_bar=0.99, wall_ms=1.0)
+    write_trace_jsonl([good], path)
+    with open(path, "a") as fh:
+        fh.write(bad + "\n")
+    with pytest.raises(TraceError, match=re.escape(f"{path}, line 2")):
+        read_trace_jsonl(path)
 
 
 def test_config_default_grid_matches_design():

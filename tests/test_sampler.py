@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adadiffuse.diffusion import forward_diffuse, training_schedule
-from adadiffuse.errors import ConfigError, ScheduleError
+from adadiffuse import schedule
+from adadiffuse.errors import ConfigError, ScheduleError, ShapeError
 from adadiffuse.models import make_denoiser, make_estimator
 from adadiffuse.sampler import (
     AB_CLAMP,
@@ -307,6 +308,84 @@ def test_adaptive_run_holds_no_schedule_copies(small_models):
         tracemalloc.stop()
     assert len(run.steps) == 1000
     assert held < 2**20, f"run holds {held / 2**20:.2f} MiB"
+
+
+def test_adaptive_run_peak_memory_is_block_sized(small_models):
+    # a re-solve folds its schedule in blocks and keeps only the rows the
+    # next steps read: at batch 64 the peak was 2.3 MiB with (batch, n) arrays
+    den, est = small_models
+    cfg = _cfg(steps=1000, update_rule="ddim", adjustment_set=frozenset(range(1, 1001)))
+    tracemalloc.start()
+    try:
+        sample_batch(den, cfg, np.random.default_rng(0), 64, estimator=est, adaptive=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("batch", [0, -1])
+def test_sample_batch_rejects_an_empty_batch_before_any_work(small_models, batch):
+    den, est = small_models
+    rng = np.random.default_rng(0)
+    with pytest.raises(ShapeError, match="batch"):
+        sample_batch(den, _cfg(adjustment_set=frozenset({6, 3})), rng, batch,
+                     estimator=est, adaptive=True)
+    assert rng.random() == np.random.default_rng(0).random()  # no draw was taken
+
+
+def _replay_batch(den, est, cfg, seed, batch):
+    """A batched run's chains, each re-run with the public update, estimator
+    and re-solve; the networks see the whole batch, as in the engine."""
+    def update(y, eps_hat, n, sched, z):
+        if cfg.update_rule == "ddpm":
+            return ddpm_update(y, eps_hat, n, sched, z)
+        return ddim_update(y, eps_hat, n, sched, cfg.eta, z)
+
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((batch, 2))
+    scheds = [initial_noise_schedule(cfg)] * batch
+    steps, clamps = [], 0
+    for n in range(cfg.steps, 0, -1):
+        eps_hat = den.predict(y, np.array([np.sqrt(s.alpha_bar(n)) for s in scheds]))
+        z = rng.standard_normal((batch, 2))
+        det = np.array([update(y[c], eps_hat[c], n, scheds[c], np.zeros(2)) for c in range(batch)])
+        y = np.array([update(y[c], eps_hat[c], n, scheds[c], z[c]) for c in range(batch)])
+        ab_hat = None
+        if n in cfg.adjustment_set:
+            ab_hat = np.clip(est.predict(det), AB_CLAMP, 1.0 - AB_CLAMP)
+        steps.append((n, None if ab_hat is None else float(ab_hat[0]),
+                      scheds[0].betas[n - 1], scheds[0].alpha_bar(n)))
+        if ab_hat is not None and n > 1:
+            scheds = [update_noise_schedule(float(a), n - 1, cfg.family) for a in ab_hat]
+            clamps += sum(s.clamped for s in scheds)
+    return y, steps, clamps
+
+
+@pytest.mark.parametrize("kind,beta0,steps,block", [
+    ("linear", 1e-4, 400, None),  # a re-solve at n = 400 folds 3 blocks of 128 and 13 rows
+    ("fibonacci", 1e-4, 40, 8),  # the start schedule underflows from N = 128: smaller blocks
+    ("linear", 1e-2, 300, 64),  # about a fifth of the solved betas clamp at the floor
+], ids=["linear", "fibonacci", "linear-clamp-heavy"])
+@pytest.mark.parametrize("sparse", [False, True], ids=["all", "sparse"])
+@pytest.mark.parametrize("rule,eta", [("ddpm", 0.0), ("ddim", 0.7)])
+def test_batched_re_solves_match_per_chain_public_replay(
+    small_models, monkeypatch, kind, beta0, steps, block, sparse, rule, eta
+):
+    den, est = small_models
+    if block is not None:
+        monkeypatch.setattr(schedule, "WINDOW_BLOCK", block)
+    # the sparse set leaves one schedule in force for hundreds of steps
+    adjust = {steps, steps * 9 // 10, steps // 10} if sparse else set(range(1, steps + 1))
+    cfg = _cfg(steps=steps, adjustment_set=frozenset(adjust),
+               family=ScheduleFamily(kind, beta0), update_rule=rule, eta=eta)
+    run = sample_batch(den, cfg, np.random.default_rng(5), 12, estimator=est, adaptive=True)
+    y0, steps_replayed, clamps = _replay_batch(den, est, cfg, 5, 12)
+    np.testing.assert_array_equal(run.y0, y0)
+    assert [(r.n, r.alpha_hat, r.beta, r.alpha_bar) for r in run.steps] == steps_replayed
+    assert run.clamp_events == clamps
+    if beta0 == 1e-2 and not sparse:
+        assert clamps > 0.1 * 12 * steps * (steps - 1) / 2  # of the betas solved
 
 
 def test_batched_chains_match_single_runs_at_eta_zero(small_models):
