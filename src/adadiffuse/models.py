@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ShapeError
 from .nn import Network, init_network
 
 EMBED_DIM = 16
@@ -49,8 +50,20 @@ class Denoiser:
             )
 
     def conditioned_input(self, y: np.ndarray, cond: np.ndarray) -> np.ndarray:
+        """Rows [y, cond, embedding(cond)]; cond is a scalar or one value per row."""
         y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-        cond = np.broadcast_to(np.asarray(cond, dtype=np.float64), (y.shape[0],))
+        cond = np.asarray(cond, dtype=np.float64)
+        batch = y.shape[0]
+        if y.ndim != 2 or y.shape[1] != self.data_dim:
+            raise ShapeError(
+                f"state shape {y.shape} is not (batch {batch}, data_dim {self.data_dim})"
+            )
+        if cond.shape not in ((), (1,), (batch,)):
+            raise ShapeError(
+                f"cond shape {cond.shape} does not match batch {batch} "
+                f"(data_dim {self.data_dim}); expected a scalar or ({batch},)"
+            )
+        cond = np.broadcast_to(cond, (batch,))
         emb = sinusoidal_embedding(cond)
         return np.concatenate([y, cond[:, None], emb], axis=1)
 

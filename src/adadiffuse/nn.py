@@ -5,6 +5,13 @@ with hand-derived backward passes, an Adam optimizer and a central
 finite-difference gradient checker. This is all the model machinery the
 denoiser and the noise-level estimator need; there is no general autodiff
 graph and no convolution support.
+
+The kernel allocates little per step, with the same bits as the plain
+formulas: forward adds each layer's bias and applies its ReLU in place on
+the fresh matmul output, backward applies the ReLU slope in place on the
+gradient it computed itself (never on the caller's grad_out or the cached
+activations), and Adam keeps each moment in one flat buffer that a single
+sequence of in-place ufuncs updates.
 """
 from __future__ import annotations
 
@@ -26,11 +33,12 @@ def check_finite(arr: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} contains non-finite entries")
 
 
-def _apply_activation(tag: str, z: np.ndarray) -> np.ndarray:
+def _activate(tag: str, z: np.ndarray) -> np.ndarray:
+    """act(z); relu writes into z, which the caller owns."""
     if tag == "identity":
         return z
     if tag == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if tag == "sigmoid":
         # split by sign for numerical stability
         out = np.empty_like(z)
@@ -42,14 +50,20 @@ def _apply_activation(tag: str, z: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation {tag!r}")
 
 
-def _activation_grad(tag: str, a: np.ndarray) -> np.ndarray:
-    """Slope of the activation, read from its output a = act(z)."""
+def _apply_slope(tag: str, g: np.ndarray, a: np.ndarray, owned: bool) -> np.ndarray:
+    """g times the activation's slope, read from its output a = act(z).
+
+    Writes into g when owned; the identity slope is skipped, as g * 1.0 == g.
+    """
     if tag == "identity":
-        return np.ones_like(a)
+        return g
     if tag == "relu":
-        return (a > 0.0).astype(np.float64)  # max(z, 0) > 0 exactly where z > 0
+        mask = a > 0.0  # max(z, 0) > 0 exactly where z > 0
+        return np.multiply(g, mask, out=g) if owned else g * mask
     if tag == "sigmoid":
-        return a * (1.0 - a)
+        slope = 1.0 - a
+        slope *= a
+        return np.multiply(g, slope, out=slope)
     raise ValueError(f"unknown activation {tag!r}")
 
 
@@ -131,7 +145,9 @@ class Network:
         acts = [x]
         a = x
         for layer in self.layers:
-            a = _apply_activation(layer.activation, a @ layer.weight + layer.bias)
+            z = a @ layer.weight
+            z += layer.bias
+            a = _activate(layer.activation, z)
             acts.append(a)
         check_finite(a, "network output")
         self._cache = (acts, single)
@@ -154,7 +170,8 @@ class Network:
         grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(self.layers)
         for k in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[k]
-            gz = g * _activation_grad(layer.activation, acts[k + 1])
+            # g is the caller's grad_out at the top layer, backward's own below
+            gz = _apply_slope(layer.activation, g, acts[k + 1], owned=k < len(self.layers) - 1)
             grads[k] = (acts[k].T @ gz, gz.sum(axis=0))
             if k > 0:
                 g = gz @ layer.weight.T
@@ -187,14 +204,35 @@ ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
 
+def _flat_views(arrays) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One float64 buffer holding the arrays end to end, and a view per array."""
+    arrays = [_as_f64(a) for a in arrays]
+    flat = np.concatenate([a.ravel() for a in arrays])
+    views, start = [], 0
+    for a in arrays:
+        views.append(flat[start:start + a.size].reshape(a.shape))
+        start += a.size
+    return flat, views
+
+
 @dataclass
 class AdamState:
-    """Adam moment buffers, congruent to a Network's parameter list."""
+    """Adam moment buffers, congruent to a Network's parameter list.
+
+    Each moment is one flat buffer; first_moment and second_moment are
+    per-parameter views of it, so adam_step updates all of them at once.
+    """
 
     first_moment: list[np.ndarray]
     second_moment: list[np.ndarray]
     step_count: int = 0
     learning_rate: float = 1e-3
+    _m: np.ndarray = field(init=False, repr=False, compare=False)
+    _v: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._m, self.first_moment = _flat_views(self.first_moment)
+        self._v, self.second_moment = _flat_views(self.second_moment)
 
     @classmethod
     def for_network(cls, net: Network, learning_rate: float = 1e-3) -> "AdamState":
@@ -209,30 +247,45 @@ class AdamState:
 def adam_step(net: Network, grads: list[tuple[np.ndarray, np.ndarray]], state: AdamState) -> None:
     """One bias-corrected Adam update, in place on net and state.
 
-    Rejects non-finite gradients before touching any parameter.
+    Rejects non-finite gradients before touching any parameter. The
+    gradient is gathered into one flat array and the moments are updated
+    over their flat buffers, in the element-wise operation order
+    m*b1 + (1-b1)g, v*b2 + ((1-b2)g)g, lr*(m/bc1) / (sqrt(v/bc2) + eps).
     """
-    flat = []
-    for gw, gb in grads:
-        flat.append(gw)
-        flat.append(gb)
+    flat = [g for pair in grads for g in pair]
     params = net.parameters()
     if len(flat) != len(params):
         raise ShapeError("gradient list not congruent to parameters")
     for g, p in zip(flat, params):
         if g.shape != p.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        if not np.all(np.isfinite(g)):
-            raise ValueError("non-finite gradient entry; parameters left untouched")
+    g = np.concatenate([_as_f64(x).ravel() for x in flat])
+    if state._m.size != g.size or state._v.size != g.size:
+        raise ShapeError(f"Adam state holds {state._m.size} entries, parameters {g.size}")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("non-finite gradient entry; parameters left untouched")
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    for g, p, m, v in zip(flat, params, state.first_moment, state.second_moment):
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
+    m, v = state._m, state._v
+    m *= ADAM_BETA1
+    v *= ADAM_BETA2
+    tmp = (1.0 - ADAM_BETA2) * g
+    tmp *= g
+    v += tmp
+    g *= 1.0 - ADAM_BETA1
+    m += g
+    step = np.divide(m, bc1, out=g)
+    step *= state.learning_rate
+    np.divide(v, bc2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += ADAM_EPSILON
+    step /= tmp
+    start = 0
+    for p in params:
+        p -= step[start:start + p.size].reshape(p.shape)
+        start += p.size
 
 
 def finite_diff_check(net: Network, x: np.ndarray, loss_fn, step: float = 1e-5) -> float:

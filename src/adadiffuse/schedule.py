@@ -142,10 +142,10 @@ def _solve_window(ab_hat: np.ndarray, n: int, kind: str, beta0: float, lo: int):
     Returns (betas, abar, clamped) in a (steps, batch) layout: betas[k - lo]
     = beta_k for k in lo..n, abar[k - lo + 1] = alpha_bar_k for k in
     lo-1..n, and clamped counts the clipped entries of all n rows. The
-    alpha_bar_{lo-1} prefix is folded in blocks of WINDOW_BLOCK rows, each
-    a sequential product along axis 0, so every alpha_bar has the bits of
-    cumulative_alpha_bar on the whole schedule and no (batch, n) array is
-    built.
+    alpha_bar_{lo-1} prefix is folded, and the window filled, in blocks of
+    WINDOW_BLOCK rows; the alpha_bars are sequential products along axis 0,
+    so each has the bits of cumulative_alpha_bar on the whole schedule, and
+    no (batch, n) array or window-sized temporary is built.
     """
     prefix = np.ones(ab_hat.size)  # alpha_bar after the rows folded so far
     clamped = 0
@@ -156,13 +156,18 @@ def _solve_window(ab_hat: np.ndarray, n: int, kind: str, beta0: float, lo: int):
         np.subtract(1.0, block, out=block)
         block[0] *= prefix
         prefix = np.multiply.reduce(block, axis=0)
-    betas, n_clamped = clamp_betas(_solve_batch(ab_hat, n, kind, beta0, lo - 1))
+    betas = np.empty((n - lo + 1, ab_hat.size))
+    for start in range(lo - 1, n, WINDOW_BLOCK):
+        stop = min(start + WINDOW_BLOCK, n)
+        block, n_clamped = clamp_betas(_solve_batch(ab_hat, n, kind, beta0, start, stop))
+        clamped += n_clamped
+        betas[start - lo + 1:stop - lo + 1] = block
     abar = np.empty((betas.shape[0] + 1, ab_hat.size))
     abar[0] = prefix
     np.subtract(1.0, betas, out=abar[1:])
     for k in range(1, abar.shape[0]):
         abar[k] *= abar[k - 1]
-    return betas, abar, clamped + n_clamped
+    return betas, abar, clamped
 
 
 def _solve_one(alpha_bar_hat: float, n: int, kind: str, beta0: float) -> np.ndarray:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from adadiffuse.errors import ShapeError
 from adadiffuse.models import (
     EMBED_DIM,
     make_denoiser,
@@ -40,6 +41,20 @@ def test_denoiser_dims_and_output():
     assert out.shape == (2,)
     batch = den.predict(np.zeros((5, 2)), np.full(5, 0.9))
     assert batch.shape == (5, 2)
+    assert den.predict(np.zeros((5, 2)), np.array([0.9])).shape == (5, 2)
+
+
+@pytest.mark.parametrize("y,cond,match", [
+    (np.zeros((4, 3)), 0.5, r"\(4, 3\).*batch 4, data_dim 2"),
+    (np.zeros(3), 0.5, r"\(1, 3\).*batch 1, data_dim 2"),
+    (np.zeros((4, 2)), np.ones(3), r"cond shape \(3,\).*batch 4.*data_dim 2"),
+    (np.zeros((4, 2)), np.ones((4, 1)), r"cond shape \(4, 1\).*batch 4.*data_dim 2"),
+], ids=["wide-state", "wide-1-D-state", "short-cond", "2-D-cond"])
+def test_denoiser_rejects_mismatched_state_or_cond(y, cond, match):
+    den = make_denoiser(2, seed=0)
+    for call in (den.conditioned_input, den.predict):
+        with pytest.raises(ShapeError, match=match):
+            call(y, cond)
 
 
 def test_estimator_output_bounded():

@@ -118,15 +118,59 @@ def test_adam_converges_on_quadratic_bowl():
 
 
 def test_adam_rejects_non_finite_gradients():
-    net = init_network([2, 2], ["identity"], seed=1)
-    before = [p.copy() for p in net.parameters()]
+    net = init_network([2, 3, 2], ["relu", "identity"], seed=1)
     state = AdamState.for_network(net)
-    bad = [(np.array([[np.nan, 0.0], [0.0, 0.0]]), np.zeros(2))]
-    with pytest.raises(ValueError):
-        adam_step(net, bad, state)
+    rng = np.random.default_rng(0)
+    good = [(rng.standard_normal(l.weight.shape), rng.standard_normal(l.bias.shape))
+            for l in net.layers]
+    for _ in range(2):
+        adam_step(net, good, state)  # moments away from zero
+    before = [p.copy() for p in net.parameters()]
+    moments = [m.copy() for m in state.first_moment + state.second_moment]
+    for bad_value in (np.nan, np.inf):
+        bad = [(gw.copy(), gb.copy()) for gw, gb in good]
+        bad[-1][1][-1] = bad_value  # the last entry of the last gradient
+        with pytest.raises(ValueError):
+            adam_step(net, bad, state)
+    for b, p in zip(before, net.parameters()):
+        assert np.array_equal(b, p)
+    for b, m in zip(moments, state.first_moment + state.second_moment):
+        assert np.array_equal(b, m)
+    assert state.step_count == 2
+
+
+def test_adam_rejects_a_state_of_another_network():
+    net = init_network([2, 3, 2], ["relu", "identity"], seed=1)
+    before = [p.copy() for p in net.parameters()]
+    state = AdamState.for_network(init_network([2, 4, 2], ["relu", "identity"], seed=1))
+    zero = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in net.layers]
+    with pytest.raises(ShapeError):
+        adam_step(net, zero, state)
     for b, p in zip(before, net.parameters()):
         assert np.array_equal(b, p)
     assert state.step_count == 0
+
+
+def test_adam_state_built_from_separate_arrays_updates_them_all():
+    # the constructor copies given moments into its flat buffers, and the
+    # lists it exposes follow every update
+    net_a = init_network([3, 4, 2], ["relu", "identity"], seed=4)
+    net_b = init_network([3, 4, 2], ["relu", "identity"], seed=4)
+    rng = np.random.default_rng(3)
+    m0 = [rng.standard_normal(p.shape) for p in net_a.parameters()]
+    v0 = [rng.random(p.shape) for p in net_a.parameters()]
+    state = AdamState([m.copy() for m in m0], [v.copy() for v in v0], learning_rate=0.01)
+    ref_params = [p.copy() for p in net_b.parameters()]
+    ref_m, ref_v = [m.copy() for m in m0], [v.copy() for v in v0]
+    for t in range(1, 4):
+        grads = [(rng.standard_normal(l.weight.shape), rng.standard_normal(l.bias.shape))
+                 for l in net_a.layers]
+        adam_step(net_a, grads, state)
+        _ref_adam(ref_params, [g for pair in grads for g in pair], ref_m, ref_v, t, 0.01)
+    assert state.step_count == 3
+    for got, ref in zip(net_a.parameters() + state.first_moment + state.second_moment,
+                        ref_params + ref_m + ref_v):
+        np.testing.assert_array_equal(got, ref)
 
 
 def test_finite_diff_identity_net_tight():
@@ -188,3 +232,111 @@ def test_shape_invariants_random_networks(dims, batch, seed):
         assert gw.shape == layer.weight.shape
         assert gb.shape == layer.bias.shape
         assert np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))
+
+
+# The plain per-array formulas the allocation-light kernel replaced; the
+# kernel must reproduce them bit for bit.
+def _ref_activation(tag, z):
+    if tag == "identity":
+        return z
+    if tag == "relu":
+        return np.maximum(z, 0.0)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _ref_slope(tag, a):
+    if tag == "identity":
+        return np.ones_like(a)
+    if tag == "relu":
+        return (a > 0.0).astype(np.float64)
+    return a * (1.0 - a)
+
+
+def _ref_forward_backward(layers, x, g):
+    """(output, [(dW, db), ...]) of a list of (weight, bias, activation)."""
+    single = x.ndim == 1
+    a = x[None, :] if single else x
+    acts = [a]
+    for w, b, tag in layers:
+        a = _ref_activation(tag, a @ w + b)
+        acts.append(a)
+    g = g[None, :] if single else g
+    grads = [None] * len(layers)
+    for k in range(len(layers) - 1, -1, -1):
+        gz = g * _ref_slope(layers[k][2], acts[k + 1])
+        grads[k] = (acts[k].T @ gz, gz.sum(axis=0))
+        if k > 0:
+            g = gz @ layers[k][0].T
+    return (a[0] if single else a), grads
+
+
+def _ref_adam(params, flat_grads, ms, vs, t, lr):
+    bc1 = 1.0 - 0.9**t
+    bc2 = 1.0 - 0.999**t
+    for g, p, m, v in zip(flat_grads, params, ms, vs):
+        m *= 0.9
+        m += (1.0 - 0.9) * g
+        v *= 0.999
+        v += (1.0 - 0.999) * g * g
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+
+
+KERNEL_NETS = {
+    "relu-identity": ([5, 16, 16, 3], ["relu", "relu", "identity"]),
+    "relu-sigmoid": ([4, 8, 8, 1], ["relu", "relu", "sigmoid"]),
+    "relu-top": ([3, 6, 4], ["relu", "relu"]),
+    "identity": ([3, 2], ["identity"]),
+    "sigmoid": ([3, 1], ["sigmoid"]),
+}
+
+
+@pytest.mark.parametrize("dims,acts", KERNEL_NETS.values(), ids=KERNEL_NETS.keys())
+@pytest.mark.parametrize("batch", [None, 1, 7], ids=["1-D", "batch-1", "batch-7"])
+def test_kernel_matches_plain_formulas_bit_for_bit(dims, acts, batch):
+    net = init_network(dims, acts, seed=17)
+    ref_params = [p.copy() for p in net.parameters()]
+    ref_layers = [(ref_params[2 * k], ref_params[2 * k + 1], a) for k, a in enumerate(acts)]
+    ref_m = [np.zeros_like(p) for p in ref_params]
+    ref_v = [np.zeros_like(p) for p in ref_params]
+    state = AdamState.for_network(net, learning_rate=0.05)
+    rng = np.random.default_rng(2)
+    shape = (dims[0],) if batch is None else (batch, dims[0])
+    for t in range(1, 6):
+        x = rng.standard_normal(shape)
+        y = net.forward(x)
+        g = rng.standard_normal(y.shape)
+        ref_y, ref_grads = _ref_forward_backward(ref_layers, x, g)
+        np.testing.assert_array_equal(y, ref_y)
+        grads = net.backward(g)
+        for (gw, gb), (rw, rb) in zip(grads, ref_grads):
+            np.testing.assert_array_equal(gw, rw)
+            np.testing.assert_array_equal(gb, rb)
+        adam_step(net, grads, state)
+        _ref_adam(ref_params, [a for pair in ref_grads for a in pair], ref_m, ref_v, t, 0.05)
+        for got, ref in zip(net.parameters() + state.first_moment + state.second_moment,
+                            ref_params + ref_m + ref_v):
+            np.testing.assert_array_equal(got, ref)
+
+
+@pytest.mark.parametrize("dims,acts", KERNEL_NETS.values(), ids=KERNEL_NETS.keys())
+@pytest.mark.parametrize("batch", [None, 5], ids=["1-D", "batch"])
+def test_forward_and_backward_leave_their_inputs_and_cache_alone(dims, acts, batch):
+    net = init_network(dims, acts, seed=23)
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((dims[0],) if batch is None else (batch, dims[0]))
+    x_before = x.copy()
+    y = net.forward(x)
+    np.testing.assert_array_equal(x, x_before)
+    cached = [a.copy() for a in net._cache[0]]
+    g = rng.standard_normal(y.shape)
+    g_before = g.copy()
+    net.backward(g)
+    net.backward(g)
+    np.testing.assert_array_equal(g, g_before)
+    for a, before in zip(net._cache[0], cached):
+        np.testing.assert_array_equal(a, before)

@@ -324,6 +324,21 @@ def test_adaptive_run_peak_memory_is_block_sized(small_models):
     assert peak < 1.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
+def test_single_re_solve_run_peak_memory_is_window_sized(small_models):
+    # adjust {N}: the one re-solve keeps all n-1 rows. The kept betas and
+    # alpha_bars, 0.98 MiB at batch 64, set the peak; the fill's own
+    # temporaries are block-sized
+    den, est = small_models
+    cfg = _cfg(steps=1000, update_rule="ddim", adjustment_set=frozenset({1000}))
+    tracemalloc.start()
+    try:
+        sample_batch(den, cfg, np.random.default_rng(0), 64, estimator=est, adaptive=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 @pytest.mark.parametrize("batch", [0, -1])
 def test_sample_batch_rejects_an_empty_batch_before_any_work(small_models, batch):
     den, est = small_models
