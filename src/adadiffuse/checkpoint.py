@@ -3,8 +3,9 @@
 File layout: magic b"NESD", format version (u32 LE), then per tensor:
 name byte-length (u32 LE), UTF-8 name, rank (u32 LE), dims (u32 LE each),
 raw little-endian float64 values. Round trips are bit-exact. Writes are
-atomic: a temp file in the target's directory is fsynced and then renamed
-over the target, so a failed write leaves any previous file as it was.
+atomic and durable: a temp file in the target's directory is fsynced and
+renamed over the target, then the directory is fsynced, so a failed write
+leaves any previous file as it was and a returned write survives a crash.
 """
 from __future__ import annotations
 
@@ -47,6 +48,12 @@ def write_tensors(path, tensors: dict[str, np.ndarray]) -> None:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+        # the rename is durable once the directory entry is on disk
+        fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

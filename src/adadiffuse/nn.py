@@ -8,10 +8,13 @@ graph and no convolution support.
 
 The kernel allocates little per step, with the same bits as the plain
 formulas: forward adds each layer's bias and applies its ReLU in place on
-the fresh matmul output, backward applies the ReLU slope in place on the
-gradient it computed itself (never on the caller's grad_out or the cached
-activations), and Adam keeps each moment in one flat buffer that a single
-sequence of in-place ufuncs updates.
+the fresh matmul output, the sigmoid uses no boolean masks, backward
+applies the ReLU slope in place on the gradient it computed itself (never
+on the caller's grad_out or the cached activations), and Adam keeps each
+moment in one flat buffer that a single sequence of in-place ufuncs
+updates. Network.apply is forward for inference: the same layer code and
+bits, with no activation cache and no finiteness checks; training uses
+forward.
 """
 from __future__ import annotations
 
@@ -40,13 +43,10 @@ def _activate(tag: str, z: np.ndarray) -> np.ndarray:
     if tag == "relu":
         return np.maximum(z, 0.0, out=z)
     if tag == "sigmoid":
-        # split by sign for numerical stability
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
+        # 1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below, both from e = e^-|z|
+        e = np.exp(np.minimum(z, -z))  # -|z|, keeping a NaN input's sign
+        d = 1.0 + e
+        return np.where(z >= 0, 1.0 / d, e / d)
     raise ValueError(f"unknown activation {tag!r}")
 
 
@@ -99,6 +99,13 @@ class DenseLayer:
         return self.weight.shape[1]
 
 
+def _layer_out(layer: DenseLayer, a: np.ndarray) -> np.ndarray:
+    """act(a @ weight + bias), the bias add and any ReLU in the matmul's output."""
+    z = a @ layer.weight
+    z += layer.bias
+    return _activate(layer.activation, z)
+
+
 @dataclass
 class Network:
     """Feedforward stack of DenseLayers with cached-activation backward.
@@ -143,15 +150,23 @@ class Network:
             raise ShapeError(f"input dim {x.shape} incompatible with input_dim {self.input_dim}")
         check_finite(x, "network input")
         acts = [x]
-        a = x
         for layer in self.layers:
-            z = a @ layer.weight
-            z += layer.bias
-            a = _activate(layer.activation, z)
-            acts.append(a)
-        check_finite(a, "network output")
+            acts.append(_layer_out(layer, acts[-1]))
+        check_finite(acts[-1], "network output")
         self._cache = (acts, single)
-        return a[0] if single else a
+        return acts[-1][0] if single else acts[-1]
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """forward() for inference on a batch (n, input_dim), with the same bits.
+
+        Keeps no activation cache and checks no entry for finiteness; the
+        caller checks what it reads.
+        """
+        if x.ndim != 2 or x.shape[1] != self.input_dim:
+            raise ShapeError(f"input dim {x.shape} incompatible with input_dim {self.input_dim}")
+        for layer in self.layers:
+            x = _layer_out(layer, x)
+        return x
 
     def backward(self, grad_out: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Exact gradients of a scalar loss w.r.t. every weight and bias.

@@ -9,15 +9,19 @@ n-1 .. 1.
 
 One vectorized engine evolves a batch of independent chains; the public
 single-chain operations are batch-1 wrappers over it. Its state is the
-schedule in force as rows from a base step lo (betas[k - lo] = beta_k,
-abar[k - lo + 1] = alpha_bar_k): first one shared column from the
-NoiseSchedule. A re-solve at step n replaces it by per-chain rows for
-steps lo..n-1 only, lo being the step of the next re-solve or 1; the
-alpha_bar_{lo-1} they start from is folded in blocks of rows
-(schedule._solve_window), so no (batch, n) array is built. The same step
-code broadcasts either form. A step record holds the beta_n and
-alpha_bar_n that chain 0's step ran under, so a run's trace is O(N):
-chain 0's whole in-force schedule after a re-solve at step n is
+schedule in force: alpha_bar rows from a base step lo (abar[k - lo + 1] =
+alpha_bar_k), first one shared column from the NoiseSchedule. A re-solve
+at step n replaces it by per-chain rows for steps lo..n-1 only, lo being
+the step of the next re-solve or 1; the alpha_bar_{lo-1} they start from
+is folded in blocks of rows (schedule._solve_window), so no (batch, n)
+array is built. No beta rows are kept: a step reads beta_n from the start
+schedule or, after a re-solve, as one row of its closed form, clipped.
+The same step code broadcasts either form. The networks run through
+Network.apply, which keeps no activation cache and checks nothing; the
+engine checks the estimate and the state once per step, so a non-finite
+value still raises at the step that made it. A step record holds the
+beta_n and alpha_bar_n that chain 0's step ran under, so a run's trace is
+O(N): chain 0's whole in-force schedule after a re-solve at step n is
 update_noise_schedule(rec.alpha_hat, n - 1, cfg.family). The engine runs
 the public formulas' code: _reverse_step (behind ddpm_update and
 ddim_update), _solve_batch, clamp_betas and _indices_for_levels.
@@ -31,10 +35,12 @@ import numpy as np
 
 from .errors import ConfigError, ScheduleError, ShapeError
 from .models import Denoiser, Estimator
+from .nn import check_finite
 from .schedule import (
     NoiseSchedule,
     ScheduleFamily,
     _indices_for_levels,
+    _solve_batch,
     _solve_window,
     clamp_betas,
 )
@@ -192,11 +198,13 @@ def _reverse_engine(
             raise ShapeError(f"y_init shape {y.shape} != {(batch, dim)}")
     y_start = y.copy()
 
-    # the in-force schedule holds steps lo..: betas[k - lo] = beta_k and
-    # abar[k - lo + 1] = alpha_bar_k, one column shared or one per chain
+    # the in-force schedule holds steps lo..: abar[k - lo + 1] = alpha_bar_k,
+    # one column shared or one per chain; beta_k is the start schedule's, or
+    # row k-1 of the closed form of the re-solve in force, solved = (ab_hat, n)
     lo = 1
-    betas = schedule.betas[:, None]
     abar = np.concatenate([[1.0], schedule.alpha_bars])[:, None]
+    solved = None
+    kind, beta0 = cfg.family.kind, cfg.family.beta0
 
     trace: list[StepRecord] = []
     clamp_events = 0
@@ -204,7 +212,11 @@ def _reverse_engine(
 
     for n in range(n_steps, 0, -1):
         t0 = time.perf_counter()
-        beta_n, abar_n, abar_prev = betas[n - lo], abar[n - lo + 1], abar[n - lo]
+        if solved is None:
+            beta_n = schedule.betas[n - 1:n]
+        else:
+            beta_n = clamp_betas(_solve_batch(*solved, kind, beta0, n - 1, n)[0])[0]
+        abar_n, abar_prev = abar[n - lo + 1], abar[n - lo]
         beta_rec, abar_rec = float(beta_n[0]), float(abar_n[0])  # before a re-solve
 
         if cfg.conditioning_mode == "discrete_index":
@@ -212,7 +224,7 @@ def _reverse_engine(
             cond = t_idx / float(train_bounds.size - 1)
         else:
             cond = np.sqrt(abar_n)
-        eps_hat = denoiser.net.forward(denoiser.conditioned_input(y, cond))
+        eps_hat = denoiser.net.apply(denoiser.conditioned_input(y, cond))
         z = rng.standard_normal((batch, dim))
         y_det, noise_scale = _reverse_step(
             y, eps_hat, n, beta_n[:, None], abar_n[:, None], abar_prev[:, None],
@@ -221,16 +233,15 @@ def _reverse_engine(
 
         alpha_hat_rec = None
         if n in adjust:
-            ab_hat = np.clip(
-                np.atleast_1d(estimator.predict(y_det)), AB_CLAMP, 1.0 - AB_CLAMP
-            )
+            ab_hat = estimator.net.apply(y_det)[:, 0]
+            check_finite(ab_hat, f"estimate at step {n}")
+            ab_hat = np.clip(ab_hat, AB_CLAMP, 1.0 - AB_CLAMP)
             alpha_hat_rec = float(ab_hat[0])
             if n - 1 >= 1:
                 # the new schedule governs steps down to the next re-solve's
                 lo = next((k for k in range(n - 1, 1, -1) if k in adjust), 1)
-                betas, abar, n_clamped = _solve_window(
-                    ab_hat, n - 1, cfg.family.kind, cfg.family.beta0, lo
-                )
+                abar, n_clamped = _solve_window(ab_hat, n - 1, kind, beta0, lo)
+                solved = (ab_hat, n - 1)
                 clamp_events += n_clamped
 
         y = y_det + noise_scale * z

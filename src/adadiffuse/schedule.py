@@ -8,11 +8,13 @@ cumulative retention: an arithmetic progression and a Fibonacci
 recurrence with golden-ratio closed form.
 
 Each formula has one vectorized implementation that the sampler runs
-per chain: _solve_batch (both closed forms, at any rows), clamp_betas
-(the beta clip) and _indices_for_levels (the level-to-interval lookup);
-_solve_window runs the first two block by block. solve_linear,
-solve_fibonacci, update_noise_schedule and index_for_level are their
-validated batch-1 views.
+per chain: _solve_batch (both closed forms, at any rows, optionally into
+a given buffer), clamp_betas (the beta clip) and _indices_for_levels (the
+level-to-interval lookup). _solve_window folds the first two into
+alpha_bars block by block through one reused buffer, clipping in place
+only the blocks that can clamp. solve_linear, solve_fibonacci,
+update_noise_schedule and index_for_level are their validated batch-1
+views.
 """
 from __future__ import annotations
 
@@ -113,61 +115,81 @@ def clamp_betas(raw: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _solve_batch(
-    ab_hat: np.ndarray, n: int, kind: str, beta0: float, start: int = 0, stop: int | None = None
+    ab_hat: np.ndarray, n: int, kind: str, beta0: float, start: int = 0, stop: int | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Unclamped remaining n-step betas for a batch of targets, one column each.
 
     Rows start..stop-1 (default all n) of the solution: entry [j, c] is
-    chain c's beta_{start+j+1}. The single solver behind solve_linear,
-    solve_fibonacci, update_noise_schedule and the sampler's re-solves.
+    chain c's beta_{start+j+1}. With out, a (rows, batch) array, the rows
+    are written into it and it is returned. The single solver behind
+    solve_linear, solve_fibonacci, update_noise_schedule and the sampler's
+    re-solves.
     """
     i = np.arange(start, n if stop is None else stop, dtype=np.float64)[:, None]
+    if out is None:
+        out = np.empty((i.shape[0], ab_hat.size))
     if n == 1:
-        return (1.0 - ab_hat)[None, :]
-    if kind == "linear":
-        x = -2.0 * (np.log(ab_hat) + n * beta0) / (n * (n - 1))
-        return beta0 + x * i
-    target = -np.log(ab_hat)
-    if n == 2:
-        return np.where(i == 0, beta0, target - beta0)
-    geo = lambda r: (r**n - 1.0) / (r - 1.0)
-    a = (target - beta0 * geo(PHI_CONJ)) / (geo(PHI) - geo(PHI_CONJ))
-    b = beta0 - a
-    return a * PHI**i + b * PHI_CONJ**i
+        out[...] = 1.0 - ab_hat
+    elif kind == "linear":
+        x = np.log(ab_hat)  # x = -2 * (log(ab_hat) + n * beta0) / (n * (n - 1))
+        x += n * beta0
+        x *= -2.0
+        x /= n * (n - 1)
+        np.multiply(x, i, out=out)
+        out += beta0  # the bits of beta0 + x * i
+    elif n == 2:
+        out[...] = np.where(i == 0, beta0, -np.log(ab_hat) - beta0)
+    else:
+        target = -np.log(ab_hat)
+        geo = lambda r: (r**n - 1.0) / (r - 1.0)
+        a = (target - beta0 * geo(PHI_CONJ)) / (geo(PHI) - geo(PHI_CONJ))
+        b = beta0 - a
+        np.multiply(a, PHI**i, out=out)
+        out += b * PHI_CONJ**i
+    return out
 
 
 def _solve_window(ab_hat: np.ndarray, n: int, kind: str, beta0: float, lo: int):
-    """Steps lo..n of the clamped remaining n-step schedules, with exact alpha_bars.
+    """alpha_bar_{lo-1}..alpha_bar_n of the clamped remaining n-step schedules.
 
-    Returns (betas, abar, clamped) in a (steps, batch) layout: betas[k - lo]
-    = beta_k for k in lo..n, abar[k - lo + 1] = alpha_bar_k for k in
-    lo-1..n, and clamped counts the clipped entries of all n rows. The
-    alpha_bar_{lo-1} prefix is folded, and the window filled, in blocks of
-    WINDOW_BLOCK rows; the alpha_bars are sequential products along axis 0,
-    so each has the bits of cumulative_alpha_bar on the whole schedule, and
-    no (batch, n) array or window-sized temporary is built.
+    Returns (abar, clamped) in a (steps, batch) layout: abar[k - lo + 1] =
+    alpha_bar_k for k in lo-1..n, and clamped counts the clipped entries of
+    all n rows. beta_k itself is row k-1 of _solve_batch, clipped. The
+    alpha_bar_{lo-1} prefix is folded through one (WINDOW_BLOCK, batch)
+    buffer and the window filled in blocks of as many rows; the alpha_bars
+    are sequential products along axis 0, so each has the bits of
+    cumulative_alpha_bar on the whole schedule. A block is clipped only if
+    it can clamp: linear rows are monotone in i, so its first and last rows
+    bound it; Fibonacci rows alternate, so its own min and max do.
     """
-    prefix = np.ones(ab_hat.size)  # alpha_bar after the rows folded so far
+    def solve_clamped(start, stop, out):
+        nonlocal clamped
+        block = _solve_batch(ab_hat, n, kind, beta0, start, stop, out)
+        bounds = block[::max(len(block) - 1, 1)] if kind == "linear" else block
+        if bounds.min() < BETA_FLOOR or bounds.max() > BETA_CEIL:
+            # for finite betas, the entries clamp_betas would move
+            moved = np.count_nonzero(block < BETA_FLOOR) + np.count_nonzero(block > BETA_CEIL)
+            clamped += int(moved)
+            np.clip(block, BETA_FLOOR, BETA_CEIL, out=block)
+        return np.subtract(1.0, block, out=block)
+
     clamped = 0
+    prefix = np.ones(ab_hat.size)  # alpha_bar after the rows folded so far
+    buf = np.empty((min(WINDOW_BLOCK, lo - 1), ab_hat.size))
     for start in range(0, lo - 1, WINDOW_BLOCK):
         stop = min(start + WINDOW_BLOCK, lo - 1)
-        block, n_clamped = clamp_betas(_solve_batch(ab_hat, n, kind, beta0, start, stop))
-        clamped += n_clamped
-        np.subtract(1.0, block, out=block)
+        block = solve_clamped(start, stop, buf[:stop - start])
         block[0] *= prefix
-        prefix = np.multiply.reduce(block, axis=0)
-    betas = np.empty((n - lo + 1, ab_hat.size))
+        np.multiply.reduce(block, axis=0, out=prefix)
+    abar = np.empty((n - lo + 2, ab_hat.size))
+    abar[0] = prefix
     for start in range(lo - 1, n, WINDOW_BLOCK):
         stop = min(start + WINDOW_BLOCK, n)
-        block, n_clamped = clamp_betas(_solve_batch(ab_hat, n, kind, beta0, start, stop))
-        clamped += n_clamped
-        betas[start - lo + 1:stop - lo + 1] = block
-    abar = np.empty((betas.shape[0] + 1, ab_hat.size))
-    abar[0] = prefix
-    np.subtract(1.0, betas, out=abar[1:])
+        solve_clamped(start, stop, abar[start - lo + 2:stop - lo + 2])
     for k in range(1, abar.shape[0]):
         abar[k] *= abar[k - 1]
-    return betas, abar, clamped
+    return abar, clamped
 
 
 def _solve_one(alpha_bar_hat: float, n: int, kind: str, beta0: float) -> np.ndarray:

@@ -1,3 +1,5 @@
+import os
+import stat
 import struct
 
 import numpy as np
@@ -135,6 +137,23 @@ def test_failed_write_leaves_previous_checkpoint_and_no_temp_file(tmp_path):
         write_tensors(path, {"a": np.zeros(3), "b": np.array(["not a number"])})
     assert path.read_bytes() == before
     assert [f.name for f in tmp_path.iterdir()] == ["models.nesd"]
+
+
+def test_save_fsyncs_the_file_then_its_directory_after_the_rename(tmp_path, monkeypatch):
+    # a rename is durable only once the directory holding the entry is synced
+    path = tmp_path / "models.nesd"
+    synced = []
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        st_ = os.fstat(fd)
+        synced.append((stat.S_ISDIR(st_.st_mode), st_.st_ino, path.exists()))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    save_checkpoint({"estimator": make_estimator(2, seed=2)}, None, path)
+    assert synced == [(False, synced[0][1], False), (True, tmp_path.stat().st_ino, True)]
+    assert synced[0][1] == path.stat().st_ino  # the file synced is the one renamed
 
 
 HEADER = MAGIC + struct.pack("<I", VERSION)

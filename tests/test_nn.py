@@ -8,6 +8,7 @@ from adadiffuse.nn import (
     AdamState,
     DenseLayer,
     Network,
+    _activate,
     adam_step,
     finite_diff_check,
     init_network,
@@ -286,6 +287,13 @@ def _ref_adam(params, flat_grads, ms, vs, t, lr):
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
 
 
+# sigmoid inputs at the edges of exp's range and beyond: exp(-745.2) is
+# subnormal, exp(-800) underflows to 0
+SIGMOID_EXTREMES = np.concatenate([
+    [0.0, -0.0, 745.2, -745.2, 800.0, -800.0, np.inf, -np.inf, np.nan],
+    np.random.default_rng(3).standard_normal(64) * 40.0,
+])
+
 KERNEL_NETS = {
     "relu-identity": ([5, 16, 16, 3], ["relu", "relu", "identity"]),
     "relu-sigmoid": ([4, 8, 8, 1], ["relu", "relu", "sigmoid"]),
@@ -321,6 +329,10 @@ def test_kernel_matches_plain_formulas_bit_for_bit(dims, acts, batch):
         for got, ref in zip(net.parameters() + state.first_moment + state.second_moment,
                             ref_params + ref_m + ref_v):
             np.testing.assert_array_equal(got, ref)
+    if "sigmoid" in acts:
+        z = SIGMOID_EXTREMES.reshape(-1, 1) if batch else SIGMOID_EXTREMES
+        got = _activate("sigmoid", z.copy())
+        assert got.tobytes() == _ref_activation("sigmoid", z).tobytes()
 
 
 @pytest.mark.parametrize("dims,acts", KERNEL_NETS.values(), ids=KERNEL_NETS.keys())
@@ -340,3 +352,30 @@ def test_forward_and_backward_leave_their_inputs_and_cache_alone(dims, acts, bat
     np.testing.assert_array_equal(g, g_before)
     for a, before in zip(net._cache[0], cached):
         np.testing.assert_array_equal(a, before)
+
+
+@pytest.mark.parametrize("dims,acts", KERNEL_NETS.values(), ids=KERNEL_NETS.keys())
+@pytest.mark.parametrize("batch", [1, 7])
+def test_apply_matches_forward_bit_for_bit_and_keeps_no_cache(dims, acts, batch):
+    net = init_network(dims, acts, seed=29)
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((batch, dims[0])) * 3.0
+    x_before = x.copy()
+    assert net._cache is None
+    out = net.apply(x)
+    assert net._cache is None
+    assert out.tobytes() == net.forward(x).tobytes()
+    cache = net._cache
+    cached = [a.copy() for a in cache[0]]
+    assert net.apply(rng.standard_normal((batch, dims[0]))).shape == (batch, dims[-1])
+    assert net._cache is cache
+    for a, before in zip(cache[0], cached):
+        np.testing.assert_array_equal(a, before)
+    np.testing.assert_array_equal(x, x_before)
+
+
+def test_apply_rejects_what_forward_rejects_by_shape():
+    net = init_network([3, 4, 2], ["relu", "identity"], seed=0)
+    for bad in (np.zeros(3), np.zeros((2, 4))):
+        with pytest.raises(ShapeError):
+            net.apply(bad)

@@ -325,9 +325,9 @@ def test_adaptive_run_peak_memory_is_block_sized(small_models):
 
 
 def test_single_re_solve_run_peak_memory_is_window_sized(small_models):
-    # adjust {N}: the one re-solve keeps all n-1 rows. The kept betas and
-    # alpha_bars, 0.98 MiB at batch 64, set the peak; the fill's own
-    # temporaries are block-sized
+    # adjust {N}: the one re-solve keeps all n-1 rows of alpha_bar, 0.49 MiB
+    # at batch 64, and no betas; the fold's own temporaries are block-sized.
+    # The peak read 0.92 MiB; keeping the betas as well read 1.74-1.80 MiB
     den, est = small_models
     cfg = _cfg(steps=1000, update_rule="ddim", adjustment_set=frozenset({1000}))
     tracemalloc.start()
@@ -336,7 +336,7 @@ def test_single_re_solve_run_peak_memory_is_window_sized(small_models):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+    assert peak < 1.25 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize("batch", [0, -1])
@@ -478,3 +478,18 @@ def test_every_step_state_stays_finite(small_models, n, seed, rule, eta):
     run = sample_adaptive(den, est, cfg, np.random.default_rng(seed))
     assert np.all(np.isfinite(run.y0))
     assert len(run.steps) == n
+
+
+def test_non_finite_network_outputs_raise_at_the_step_that_made_them(small_models):
+    # the engine's networks run without per-layer checks; the estimate and
+    # the state are checked once per step
+    den, est = small_models
+    cfg = _cfg(steps=6, adjustment_set=frozenset({3}))
+    bad_est = make_estimator(2, seed=101)
+    bad_est.net.layers[-1].bias[0] = np.nan
+    with pytest.raises(ValueError, match="estimate at step 3"):
+        sample_batch(den, cfg, np.random.default_rng(0), 4, estimator=bad_est, adaptive=True)
+    bad_den = make_denoiser(2, seed=100)
+    bad_den.net.layers[-1].bias[1] = np.inf
+    with pytest.raises(ValueError, match="after step 6"):
+        sample_batch(bad_den, cfg, np.random.default_rng(0), 4, estimator=est, adaptive=True)

@@ -7,11 +7,16 @@ from hypothesis import strategies as st
 
 from adadiffuse.errors import ScheduleError
 from adadiffuse.schedule import (
+    BETA_CEIL,
+    BETA_FLOOR,
     PHI,
     PHI_CONJ,
     NoiseSchedule,
     ScheduleFamily,
+    _solve_batch,
+    _solve_window,
     boundaries,
+    clamp_betas,
     cumulative_alpha_bar,
     index_for_level,
     solve_fibonacci,
@@ -227,3 +232,99 @@ def test_update_noise_schedule_always_valid(ab, n, b0, kind):
     assert np.all(np.diff(sched.alpha_bars) < 0)
     assert sched.boundaries[0] == 1.0
     np.testing.assert_allclose(sched.boundaries[1:] ** 2, sched.alpha_bars, atol=1e-12)
+
+
+# The blocked re-solve as it was before it reused one buffer and clipped
+# only the blocks that can clamp; _solve_window must keep its bits and
+# its clamp count.
+def _ref_solve_batch(ab_hat, n, kind, beta0, start, stop):
+    i = np.arange(start, stop, dtype=np.float64)[:, None]
+    if n == 1:
+        return (1.0 - ab_hat)[None, :]
+    if kind == "linear":
+        x = -2.0 * (np.log(ab_hat) + n * beta0) / (n * (n - 1))
+        return beta0 + x * i
+    target = -np.log(ab_hat)
+    if n == 2:
+        return np.where(i == 0, beta0, target - beta0)
+    geo = lambda r: (r**n - 1.0) / (r - 1.0)
+    a = (target - beta0 * geo(PHI_CONJ)) / (geo(PHI) - geo(PHI_CONJ))
+    b = beta0 - a
+    return a * PHI**i + b * PHI_CONJ**i
+
+
+def _ref_solve_window(ab_hat, n, kind, beta0, lo, block_rows=128):
+    def clamped_block(start, stop):
+        raw = _ref_solve_batch(ab_hat, n, kind, beta0, start, stop)
+        block = np.clip(raw, BETA_FLOOR, BETA_CEIL)
+        return block, int(np.count_nonzero(block != raw))
+
+    prefix = np.ones(ab_hat.size)
+    clamped = 0
+    for start in range(0, lo - 1, block_rows):
+        block, n_clamped = clamped_block(start, min(start + block_rows, lo - 1))
+        clamped += n_clamped
+        block = 1.0 - block
+        block[0] *= prefix
+        prefix = np.multiply.reduce(block, axis=0)
+    betas = np.empty((n - lo + 1, ab_hat.size))
+    for start in range(lo - 1, n, block_rows):
+        stop = min(start + block_rows, n)
+        betas[start - lo + 1:stop - lo + 1], n_clamped = clamped_block(start, stop)
+        clamped += n_clamped
+    abar = np.empty((betas.shape[0] + 1, ab_hat.size))
+    abar[0] = prefix
+    abar[1:] = 1.0 - betas
+    for k in range(1, abar.shape[0]):
+        abar[k] *= abar[k - 1]
+    return betas, abar, clamped
+
+
+def _check_window_against_reference(ab_hat, n, kind, beta0, lo):
+    ref_betas, ref_abar, ref_clamped = _ref_solve_window(ab_hat, n, kind, beta0, lo)
+    abar, clamped = _solve_window(ab_hat, n, kind, beta0, lo)
+    assert abar.tobytes() == ref_abar.tobytes()
+    assert clamped == ref_clamped and type(clamped) is int  # metrics.json stores it
+    # the sampler reads beta_k as row k-1 of the closed form, clipped
+    for k in range(lo, n + 1):
+        beta_k = clamp_betas(_solve_batch(ab_hat, n, kind, beta0, k - 1, k)[0])[0]
+        assert beta_k.tobytes() == ref_betas[k - lo].tobytes()
+    return ref_clamped
+
+
+WINDOW_TARGETS = np.concatenate([
+    [1e-7, 1.0 - 1e-7],
+    np.random.default_rng(11).uniform(1e-7, 1.0 - 1e-7, 14),
+    10.0 ** -np.random.default_rng(12).uniform(0.0, 7.0, 8),
+]).clip(1e-7, 1.0 - 1e-7)
+
+
+@pytest.mark.parametrize("kind,beta0", [("linear", 1e-4), ("linear", 1e-2), ("fibonacci", 1e-4)])
+@pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 129, 300, 999])
+def test_solve_window_matches_the_plain_blocked_fold(kind, beta0, n):
+    # lo - 1 on a 128-row block edge (lo = 1, 129, 257) and off it
+    for lo in sorted({1, 2, 3, 64, 129, 130, 257, n // 2, n - 1, n} & set(range(1, n + 1))):
+        _check_window_against_reference(WINDOW_TARGETS, n, kind, beta0, lo)
+
+
+def test_solve_window_counts_fibonacci_clamps_that_sit_mid_block():
+    # the alternating rows 1, 3, ... and 16..29 clamp at the floor, while
+    # rows 0 and 33..39, the ends of every block below, stay in range
+    ab, n, beta0 = np.array([0.9991142482275172]), 40, 1e-3
+    raw = _solve_batch(ab, n, "fibonacci", beta0)[:, 0]
+    clipped = np.flatnonzero((raw < BETA_FLOOR) | (raw > BETA_CEIL))
+    assert clipped.size > 10 and clipped.min() > 0 and clipped.max() < 33
+    for lo in (1, 12, 35, 40):
+        assert _check_window_against_reference(ab, n, "fibonacci", beta0, lo) == clipped.size
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_solve_window_counts_a_linear_clamp_on_a_block_last_row(n):
+    # x < 0 puts beta_n, the last row of a 128-row block, alone below the floor
+    beta0 = 1e-4
+    x = -(beta0 - BETA_FLOOR) / (n - 1.5)
+    ab = np.array([math.exp(-(n * beta0 + x * n * (n - 1) / 2))])
+    raw = _solve_batch(ab, n, "linear", beta0)[:, 0]
+    assert list(np.flatnonzero((raw < BETA_FLOOR) | (raw > BETA_CEIL))) == [n - 1]
+    for lo in (1, 2, 100, n - 1, n):
+        assert _check_window_against_reference(ab, n, "linear", beta0, lo) == 1
