@@ -37,14 +37,14 @@ def write_tensors(path, tensors: dict[str, np.ndarray]) -> None:
             fh.write(MAGIC)
             fh.write(struct.pack("<I", VERSION))
             for name, arr in tensors.items():
-                arr = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
+                arr = np.ascontiguousarray(arr, dtype="<f8")
                 raw_name = name.encode("utf-8")
                 fh.write(struct.pack("<I", len(raw_name)))
                 fh.write(raw_name)
                 fh.write(struct.pack("<I", arr.ndim))
                 for d in arr.shape:
                     fh.write(struct.pack("<I", d))
-                fh.write(arr.astype("<f8").tobytes())
+                fh.write(arr.tobytes())
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

@@ -38,10 +38,26 @@ class DatasetSpec:
         if self.size <= 0:
             raise ValueError("size must be positive")
         if self.kind == "gaussian_mixture_2d":
-            if self.components < 1 or self.sigma <= 0:
-                raise ValueError("mixture needs components >= 1 and sigma > 0")
-            if self.weights is not None and len(self.weights) != self.components:
-                raise ValueError("weights length must equal components")
+            if self.components < 1 or not (0 < self.sigma < np.inf):
+                raise ValueError("mixture needs components >= 1 and a finite sigma > 0")
+            if not np.isfinite(self.radius):
+                raise ValueError(f"mixture radius must be finite, got {self.radius}")
+            if self.weights is not None:
+                if len(self.weights) != self.components:
+                    raise ValueError("weights length must equal components")
+                w = np.asarray(self.weights, dtype=np.float64)
+                if not (np.all(np.isfinite(w)) and np.all(w >= 0) and w.sum() > 0):
+                    raise ValueError("weights must be finite and nonnegative with positive sum")
+        elif self.kind == "swiss_roll_2d":
+            if not np.isfinite(self.roll_noise):
+                raise ValueError(f"roll_noise must be finite, got {self.roll_noise}")
+        else:
+            if self.wave_length < 1:
+                raise ValueError(f"wave_length must be >= 1, got {self.wave_length}")
+            if not (-np.inf < self.freq_lo <= self.freq_hi < np.inf):
+                raise ValueError(
+                    f"sinusoid needs finite freq_lo <= freq_hi, got {self.freq_lo} and {self.freq_hi}"
+                )
 
     @property
     def dim(self) -> int:
@@ -57,8 +73,6 @@ def _mixture_weights(spec: DatasetSpec) -> np.ndarray:
     if spec.weights is None:
         return np.full(spec.components, 1.0 / spec.components)
     w = np.asarray(spec.weights, dtype=np.float64)
-    if np.any(w < 0) or w.sum() <= 0:
-        raise ValueError("weights must be nonnegative with positive sum")
     return w / w.sum()
 
 

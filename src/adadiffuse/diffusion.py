@@ -28,8 +28,10 @@ class TrainConfig:
     stage_count: int = 1000
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size <= 0 or self.total_steps <= 0:
-            raise ValueError("learning_rate, batch_size and total_steps must be positive")
+        if not (0 < self.learning_rate < np.inf):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if self.batch_size <= 0 or self.total_steps <= 0:
+            raise ValueError("batch_size and total_steps must be positive")
         if self.stage_count <= 0:
             raise ValueError("stage_count must be positive")
 

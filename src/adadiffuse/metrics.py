@@ -108,6 +108,6 @@ def eval_estimator_curve(
         y0 = data[rng.integers(0, data.shape[0], size=samples_per_point)]
         eps = rng.standard_normal(y0.shape)
         y = forward_diffuse(y0, ab, eps)
-        pred = np.atleast_1d(estimator.predict(y))
+        pred = estimator.predict(y)
         curve.append((ab, float(np.mean((pred - ab) ** 2))))
     return curve

@@ -9,8 +9,8 @@ graph and no convolution support.
 The kernel allocates little per step, with the same bits as the plain
 formulas: forward adds each layer's bias and applies its ReLU in place on
 the fresh matmul output, the sigmoid uses no boolean masks, backward
-applies the ReLU slope in place on the gradient it computed itself (never
-on the caller's grad_out or the cached activations), and Adam keeps each
+copies the caller's grad_out once and applies each ReLU slope in place on
+its own gradient (never on the cached activations), and Adam keeps each
 moment in one flat buffer that a single sequence of in-place ufuncs
 updates. Network.apply is forward for inference: the same layer code and
 bits, with no activation cache and no finiteness checks; training uses
@@ -50,16 +50,16 @@ def _activate(tag: str, z: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation {tag!r}")
 
 
-def _apply_slope(tag: str, g: np.ndarray, a: np.ndarray, owned: bool) -> np.ndarray:
+def _apply_slope(tag: str, g: np.ndarray, a: np.ndarray) -> np.ndarray:
     """g times the activation's slope, read from its output a = act(z).
 
-    Writes into g when owned; the identity slope is skipped, as g * 1.0 == g.
+    relu writes into g; the identity slope is skipped, as g * 1.0 == g.
     """
     if tag == "identity":
         return g
     if tag == "relu":
         mask = a > 0.0  # max(z, 0) > 0 exactly where z > 0
-        return np.multiply(g, mask, out=g) if owned else g * mask
+        return np.multiply(g, mask, out=g)
     if tag == "sigmoid":
         slope = 1.0 - a
         slope *= a
@@ -177,7 +177,7 @@ class Network:
         if self._cache is None:
             raise StateError("backward() called before forward()")
         acts, single = self._cache
-        g = _as_f64(grad_out)
+        g = np.array(grad_out, dtype=np.float64)  # backward's own, written in place
         if single:
             g = g[None, :]
         if g.shape != acts[-1].shape:
@@ -185,8 +185,7 @@ class Network:
         grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(self.layers)
         for k in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[k]
-            # g is the caller's grad_out at the top layer, backward's own below
-            gz = _apply_slope(layer.activation, g, acts[k + 1], owned=k < len(self.layers) - 1)
+            gz = _apply_slope(layer.activation, g, acts[k + 1])
             grads[k] = (acts[k].T @ gz, gz.sum(axis=0))
             if k > 0:
                 g = gz @ layer.weight.T

@@ -245,8 +245,7 @@ def _reverse_engine(
                 clamp_events += n_clamped
 
         y = y_det + noise_scale * z
-        if not np.all(np.isfinite(y)):
-            raise ValueError(f"non-finite state after step {n}")
+        check_finite(y, f"state after step {n}")
         trace.append(
             StepRecord(
                 n=n,

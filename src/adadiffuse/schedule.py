@@ -9,10 +9,10 @@ recurrence with golden-ratio closed form.
 
 Each formula has one vectorized implementation that the sampler runs
 per chain: _solve_batch (both closed forms, at any rows, optionally into
-a given buffer), clamp_betas (the beta clip) and _indices_for_levels (the
-level-to-interval lookup). _solve_window folds the first two into
-alpha_bars block by block through one reused buffer, clipping in place
-only the blocks that can clamp. solve_linear, solve_fibonacci,
+a given buffer), clamp_betas (the beta clip, in place) and
+_indices_for_levels (the level-to-interval lookup). _solve_window folds
+the first two into alpha_bars block by block through one reused buffer,
+clipping only the blocks that can clamp. solve_linear, solve_fibonacci,
 update_noise_schedule and index_for_level are their validated batch-1
 views.
 """
@@ -109,9 +109,10 @@ class ScheduleFamily:
 
 
 def clamp_betas(raw: np.ndarray) -> tuple[np.ndarray, int]:
-    """Clip betas into [BETA_FLOOR, BETA_CEIL]; also returns how many moved."""
-    clamped = np.clip(raw, BETA_FLOOR, BETA_CEIL)
-    return clamped, int(np.count_nonzero(clamped != raw))
+    """Clip betas into [BETA_FLOOR, BETA_CEIL] in place; also returns how many
+    lay below or above (a NaN entry stays NaN and is not counted)."""
+    moved = np.count_nonzero(raw < BETA_FLOOR) + np.count_nonzero(raw > BETA_CEIL)
+    return np.clip(raw, BETA_FLOOR, BETA_CEIL, out=raw), int(moved)
 
 
 def _solve_batch(
@@ -132,10 +133,7 @@ def _solve_batch(
     if n == 1:
         out[...] = 1.0 - ab_hat
     elif kind == "linear":
-        x = np.log(ab_hat)  # x = -2 * (log(ab_hat) + n * beta0) / (n * (n - 1))
-        x += n * beta0
-        x *= -2.0
-        x /= n * (n - 1)
+        x = -2.0 * (np.log(ab_hat) + n * beta0) / (n * (n - 1))
         np.multiply(x, i, out=out)
         out += beta0  # the bits of beta0 + x * i
     elif n == 2:
@@ -168,10 +166,7 @@ def _solve_window(ab_hat: np.ndarray, n: int, kind: str, beta0: float, lo: int):
         block = _solve_batch(ab_hat, n, kind, beta0, start, stop, out)
         bounds = block[::max(len(block) - 1, 1)] if kind == "linear" else block
         if bounds.min() < BETA_FLOOR or bounds.max() > BETA_CEIL:
-            # for finite betas, the entries clamp_betas would move
-            moved = np.count_nonzero(block < BETA_FLOOR) + np.count_nonzero(block > BETA_CEIL)
-            clamped += int(moved)
-            np.clip(block, BETA_FLOOR, BETA_CEIL, out=block)
+            clamped += clamp_betas(block)[1]
         return np.subtract(1.0, block, out=block)
 
     clamped = 0
@@ -195,7 +190,7 @@ def _solve_window(ab_hat: np.ndarray, n: int, kind: str, beta0: float, lo: int):
 def _solve_one(alpha_bar_hat: float, n: int, kind: str, beta0: float) -> np.ndarray:
     if n < 1:
         raise ScheduleError(f"remaining step count must be >= 1, got {n}")
-    if not (0.0 < alpha_bar_hat < 1.0) or not math.isfinite(alpha_bar_hat):
+    if not (0.0 < alpha_bar_hat < 1.0):  # NaN and +-inf fail too
         raise ScheduleError(f"target alpha_bar {alpha_bar_hat} outside (0, 1)")
     return _solve_batch(np.array([alpha_bar_hat], dtype=np.float64), n, kind, beta0)[:, 0]
 

@@ -159,6 +159,15 @@ def test_benchmark_with_adjust_step_above_an_n_exits_2(cfg_file, capsys):
     assert not (out / "bench.csv").exists()
 
 
+def test_train_with_a_nan_learning_rate_exits_2_before_any_checkpoint(cfg_file, capsys):
+    cfg_path, out = cfg_file
+    cfg_path.write_text(cfg_path.read_text().replace(
+        "train.learning_rate = 1e-3", "train.learning_rate = nan"))
+    assert main(["train-denoiser", "--config", str(cfg_path)]) == 2
+    assert "learning_rate" in capsys.readouterr().err
+    assert not (out / "denoiser.nesd").exists()
+
+
 def test_train_requires_config(capsys):
     assert main(["train-denoiser"]) == 2
 

@@ -53,6 +53,26 @@ def test_bad_value_becomes_config_error():
             parse_text(text + "\n")
 
 
+@pytest.mark.parametrize("text", [
+    "train.learning_rate = nan",
+    "train.learning_rate = inf",
+    "dataset.kind = sinusoid_1d\ndataset.wave_length = 0",
+    "dataset.kind = sinusoid_1d\ndataset.freq_lo = 8\ndataset.freq_hi = 1",
+    "dataset.kind = sinusoid_1d\ndataset.freq_hi = nan",
+    "dataset.components = 2\ndataset.weights = -1,2",
+    "dataset.components = 2\ndataset.weights = 0,0",
+    "dataset.components = 2\ndataset.weights = nan,1",
+    "dataset.radius = nan",
+    "dataset.radius = inf",
+    "dataset.sigma = nan",
+    "dataset.sigma = inf",
+    "dataset.kind = swiss_roll_2d\ndataset.roll_noise = nan",
+])
+def test_values_that_would_fail_during_training_are_rejected_at_parse_time(text):
+    with pytest.raises(ConfigError):
+        parse_text(text + "\n")
+
+
 def test_adjust_forms():
     assert parse_text("sampler.adjust = none\n").sampler.adjustment_set == frozenset()
     assert parse_text("sampler.adjust = 1,3\n").sampler.adjustment_set == frozenset({1, 3})

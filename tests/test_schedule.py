@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from adadiffuse.errors import ScheduleError
 from adadiffuse.schedule import (
@@ -232,6 +233,28 @@ def test_update_noise_schedule_always_valid(ab, n, b0, kind):
     assert np.all(np.diff(sched.alpha_bars) < 0)
     assert sched.boundaries[0] == 1.0
     np.testing.assert_allclose(sched.boundaries[1:] ** 2, sched.alpha_bars, atol=1e-12)
+
+
+# each bound, its neighbouring floats on both sides, and the infinities
+EDGE_BETAS = [
+    edge
+    for bound in (BETA_FLOOR, BETA_CEIL)
+    for edge in (bound, np.nextafter(bound, -np.inf), np.nextafter(bound, np.inf))
+] + [-np.inf, np.inf]
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw=hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=8),
+    elements=st.one_of(st.floats(allow_nan=False), st.sampled_from(EDGE_BETAS)),
+))
+def test_clamp_betas_clips_in_place_and_counts_the_entries_it_moved(raw):
+    expected = np.clip(raw, BETA_FLOOR, BETA_CEIL)
+    arg = raw.copy()
+    out, moved = clamp_betas(arg)
+    assert out is arg
+    assert arg.tobytes() == expected.tobytes()
+    assert moved == np.count_nonzero(expected != raw) and type(moved) is int
 
 
 # The blocked re-solve as it was before it reused one buffer and clipped
