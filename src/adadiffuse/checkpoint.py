@@ -110,6 +110,8 @@ def _network_tensors(prefix: str, net: Network) -> dict[str, np.ndarray]:
 
 def _stored_int(value, stop: int, what: str) -> int:
     """A float read from a checkpoint that must hold an integer in [0, stop)."""
+    if np.ndim(value) != 0:  # a flipped rank or dim leaves an array here
+        raise CheckpointError(f"{what} has shape {np.shape(value)}, not one value")
     v = float(value)
     if not (v.is_integer() and 0 <= v < stop):
         raise CheckpointError(f"{what} {v!r} is not an integer in [0, {stop})")

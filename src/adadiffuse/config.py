@@ -68,6 +68,8 @@ class RunConfig:
             raise ConfigError(f"eval.grid values must lie in (0, 1), got {self.eval_grid}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds repeats an entry: {self.seeds}")
+        if any(s < 0 for s in self.seeds):
+            raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
 
 
 def _parse_adjust(v: str, steps: int) -> frozenset[int]:
@@ -221,11 +223,14 @@ def to_text(cfg: RunConfig) -> str:
 
 def with_overrides(cfg: RunConfig, seed: int | None = None, out: str | None = None) -> RunConfig:
     if seed is not None:
-        cfg = replace(
-            cfg,
-            train=replace(cfg.train, seed=seed),
-            sampler=replace(cfg.sampler, seed=seed),
-        )
+        try:
+            cfg = replace(
+                cfg,
+                train=replace(cfg.train, seed=seed),
+                sampler=replace(cfg.sampler, seed=seed),
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     if out is not None:
         cfg = replace(cfg, output_dir=out)
     return cfg

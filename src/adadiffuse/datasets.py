@@ -37,6 +37,8 @@ class DatasetSpec:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         if self.size <= 0:
             raise ValueError("size must be positive")
+        if self.seed < 0:
+            raise ValueError(f"dataset.seed must be >= 0, got {self.seed}")
         if self.kind == "gaussian_mixture_2d":
             if self.components < 1 or not (0 < self.sigma < np.inf):
                 raise ValueError("mixture needs components >= 1 and a finite sigma > 0")

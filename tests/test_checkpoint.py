@@ -128,6 +128,18 @@ def test_malformed_metadata_raises_checkpoint_error(tmp_path, name, index, value
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("name", ["denoiser/meta", "estimator/layer0/activation"])
+def test_metadata_of_the_wrong_rank_raises_checkpoint_error(tmp_path, name):
+    path = tmp_path / "models.nesd"
+    models = {"denoiser": make_denoiser(2, seed=1), "estimator": make_estimator(2, seed=2)}
+    save_checkpoint(models, None, path)
+    tensors = read_tensors(path)
+    tensors[name] = np.zeros((2, 0))
+    write_tensors(path, tensors)
+    with pytest.raises(CheckpointError, match="shape"):
+        load_checkpoint(path)
+
+
 def test_failed_write_leaves_previous_checkpoint_and_no_temp_file(tmp_path):
     path = tmp_path / "models.nesd"
     write_tensors(path, {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(4)})

@@ -168,6 +168,13 @@ def test_train_with_a_nan_learning_rate_exits_2_before_any_checkpoint(cfg_file, 
     assert not (out / "denoiser.nesd").exists()
 
 
+def test_a_negative_seed_override_exits_2_before_any_checkpoint(cfg_file, capsys):
+    cfg_path, out = cfg_file
+    assert main(["train-denoiser", "--config", str(cfg_path), "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (out / "denoiser.nesd").exists()
+
+
 def test_train_requires_config(capsys):
     assert main(["train-denoiser"]) == 2
 

@@ -67,6 +67,10 @@ def test_bad_value_becomes_config_error():
     "dataset.sigma = nan",
     "dataset.sigma = inf",
     "dataset.kind = swiss_roll_2d\ndataset.roll_noise = nan",
+    "train.seed = -1",
+    "dataset.seed = -1",
+    "sampler.seed = -1",
+    "seeds = 0,-1",
 ])
 def test_values_that_would_fail_during_training_are_rejected_at_parse_time(text):
     with pytest.raises(ConfigError):

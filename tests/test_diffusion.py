@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from adadiffuse.datasets import DatasetSpec, generate
 from adadiffuse.diffusion import (
+    BLOCK_STEPS,
     TrainConfig,
     denoiser_train_step,
     estimator_loss,
@@ -20,7 +21,7 @@ from adadiffuse.diffusion import (
     training_schedule,
 )
 from adadiffuse.errors import ShapeError
-from adadiffuse.models import make_denoiser, make_estimator
+from adadiffuse.models import Estimator, make_denoiser, make_estimator
 from adadiffuse.nn import AdamState
 from adadiffuse.schedule import NoiseSchedule, boundaries
 
@@ -42,6 +43,12 @@ def test_forward_diffuse_rejects_mismatch():
         forward_diffuse(np.zeros(3), 0.5, np.zeros(2))
     with pytest.raises(ValueError):
         forward_diffuse(np.zeros(2), 1.5, np.zeros(2))
+
+
+@pytest.mark.parametrize("ab", [math.nan, np.array([0.5, math.nan])])
+def test_forward_diffuse_rejects_nan_alpha_bar(ab):
+    with pytest.raises(ValueError, match="outside"):
+        forward_diffuse(np.zeros((2, 3)), ab, np.zeros((2, 3)))
 
 
 def test_sample_noise_level_single_interval():
@@ -74,7 +81,7 @@ def test_sample_noise_level_interval_frequencies():
 def test_noisy_batch_identity_holds_exactly():
     data = generate(DatasetSpec(size=256, seed=3))
     sched = training_schedule(100)
-    batch = make_noisy_batch(data, sched, np.random.default_rng(9))
+    batch = make_noisy_batch(data, sched, [np.random.default_rng(9)], 256)
     recon = batch.sqrt_alpha_bar[:, None] * batch.y0 + np.sqrt(
         1.0 - batch.sqrt_alpha_bar[:, None] ** 2
     ) * batch.epsilon
@@ -90,9 +97,9 @@ def test_denoiser_step_zero_loss_when_prediction_exact(monkeypatch):
     den = make_denoiser(2, seed=0)
     sched = training_schedule(50)
     opt = AdamState.for_network(den.net)
-    rng = np.random.default_rng(7)
 
-    batch = make_noisy_batch(data[:16], sched, np.random.default_rng(7))
+    batch = make_noisy_batch(data, sched, [np.random.default_rng(7)], 16)
+    x = den.conditioned_input(batch.y_s, batch.sqrt_alpha_bar)
     monkeypatch.setattr(
         den.net, "forward", lambda x: batch.epsilon.copy()
     )
@@ -100,7 +107,7 @@ def test_denoiser_step_zero_loss_when_prediction_exact(monkeypatch):
         (np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in den.net.layers
     ])
     before = [p.copy() for p in den.net.parameters()]
-    loss = denoiser_train_step(den, opt, data[:16], rng, sched)
+    loss = denoiser_train_step(den, opt, x, batch.epsilon)
     assert loss == 0.0
     for b, p in zip(before, den.net.parameters()):
         assert np.array_equal(b, p)
@@ -173,13 +180,121 @@ def test_estimator_step_zero_loss_perfect_prediction(monkeypatch):
     est = make_estimator(2, seed=0)
     sched = training_schedule(50)
     opt = AdamState.for_network(est.net)
-    batch = make_noisy_batch(data, sched, np.random.default_rng(5))
+    batch = make_noisy_batch(data, sched, [np.random.default_rng(5)], 32)
     monkeypatch.setattr(est.net, "forward", lambda x: (batch.sqrt_alpha_bar**2)[:, None])
     monkeypatch.setattr(est.net, "backward", lambda g: [
         (np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in est.net.layers
     ])
-    loss = estimator_train_step(est, opt, data, np.random.default_rng(5), sched)
+    loss = estimator_train_step(est, opt, batch.y_s, batch.sqrt_alpha_bar**2)
     assert loss == 0.0
+
+
+def _per_step_reference(model, data, cfg):
+    """The unblocked loop: each step picks, draws, corrupts and conditions
+    its own batch, then updates."""
+    schedule = training_schedule(cfg.stage_count)
+    opt = AdamState.for_network(model.net, learning_rate=cfg.learning_rate)
+    losses = []
+    for step in range(cfg.total_steps):
+        rng = np.random.default_rng([cfg.seed, step])
+        y0 = data[rng.integers(0, data.shape[0], size=cfg.batch_size)]
+        stages, sqrt_ab = sample_noise_levels(rng, schedule.boundaries, len(schedule), y0.shape[0])
+        eps = rng.standard_normal(y0.shape)
+        y_s = forward_diffuse(y0, sqrt_ab**2, eps)
+        if isinstance(model, Estimator):
+            loss = estimator_train_step(model, opt, y_s, sqrt_ab**2)
+        else:
+            if model.conditioning_mode == "discrete_index":
+                cond = stages / float(len(schedule))
+            else:
+                cond = sqrt_ab
+            loss = denoiser_train_step(model, opt, model.conditioned_input(y_s, cond), eps)
+        losses.append(loss)
+    return losses
+
+
+_MODELS = {
+    "continuous_alpha": (lambda: make_denoiser(2, 3, "continuous_alpha"), train_denoiser),
+    "discrete_index": (lambda: make_denoiser(2, 3, "discrete_index"), train_denoiser),
+    "estimator": (lambda: make_estimator(2, 3), train_estimator),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_MODELS))
+@pytest.mark.parametrize("total_steps", [
+    1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1, 2 * BLOCK_STEPS + 3])
+def test_blocked_training_matches_the_per_step_loop_bit_for_bit(kind, total_steps):
+    make, trainer = _MODELS[kind]
+    data = generate(DatasetSpec(size=300, seed=2))
+    cfg = TrainConfig(batch_size=24, total_steps=total_steps, seed=5, stage_count=80)
+    blocked, reference = make(), make()
+    assert trainer(blocked, data, cfg) == _per_step_reference(reference, data, cfg)
+    for p, q in zip(blocked.net.parameters(), reference.net.parameters()):
+        assert np.array_equal(p, q)
+
+
+def test_progress_sees_each_step_loss_and_that_step_parameters():
+    data = generate(DatasetSpec(size=200, seed=4))
+    total, inside = 2 * BLOCK_STEPS + 3, BLOCK_STEPS + 4
+    cfg = TrainConfig(batch_size=16, total_steps=total, seed=9, stage_count=50)
+    den = make_denoiser(2, seed=1)
+    seen, snapshot = [], []
+
+    def progress(step, loss):
+        seen.append((step, loss))
+        if step == inside:
+            snapshot.extend(p.copy() for p in den.net.parameters())
+
+    losses = train_denoiser(den, data, cfg, progress=progress)
+    assert seen == list(enumerate(losses))
+    short = make_denoiser(2, seed=1)
+    assert train_denoiser(short, data, TrainConfig(
+        batch_size=16, total_steps=inside + 1, seed=9, stage_count=50)) == losses[:inside + 1]
+    for p, q in zip(snapshot, short.net.parameters()):
+        assert np.array_equal(p, q)
+
+
+def test_non_finite_loss_mid_block_stops_at_that_step(monkeypatch):
+    data = generate(DatasetSpec(size=200, seed=4))
+    bad = BLOCK_STEPS + 5
+    cfg = TrainConfig(batch_size=16, total_steps=3 * BLOCK_STEPS, seed=2, stage_count=50)
+    est = make_estimator(2, seed=6)
+    forward, calls, seen = est.net.forward, [], []
+
+    def poisoned(x):
+        calls.append(None)
+        out = forward(x)
+        return out * np.nan if len(calls) == bad + 1 else out
+
+    monkeypatch.setattr(est.net, "forward", poisoned)
+    with pytest.raises(ValueError, match="non-finite training loss"):
+        train_estimator(est, data, cfg, progress=lambda step, loss: seen.append(step))
+    assert seen == list(range(bad))
+    clean = make_estimator(2, seed=6)
+    train_estimator(clean, data, TrainConfig(batch_size=16, total_steps=bad, seed=2, stage_count=50))
+    for p, q in zip(est.net.parameters(), clean.net.parameters()):
+        assert np.array_equal(p, q)
+
+
+def test_training_memory_is_one_block_whatever_the_step_count():
+    import tracemalloc
+
+    data = generate(DatasetSpec(size=1024, seed=1))
+
+    def peak(total_steps):
+        den = make_denoiser(2, seed=0)
+        cfg = TrainConfig(batch_size=128, total_steps=total_steps, seed=0, stage_count=100)
+        tracemalloc.start()
+        try:
+            train_denoiser(den, data, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_block = BLOCK_STEPS * 128 * (2 + 1 + 16) * 8  # the conditioned rows
+    step, block, blocks = peak(1), peak(BLOCK_STEPS), peak(6 * BLOCK_STEPS)
+    assert blocks - step < 2 * one_block  # one block's inputs over one step's peak
+    assert blocks < block + one_block / 4  # and no more for more blocks
 
 
 @settings(max_examples=30, deadline=None)
