@@ -77,15 +77,28 @@ def write_trace_jsonl(steps: list[StepRecord], path) -> None:
         fh.writelines(json.dumps(vars(rec)) + "\n" for rec in steps)
 
 
+def _parsed(path, rows, parse, what: str) -> list:
+    """parse(row) for each (line number, row) of a file; a row that does not
+    parse raises TraceError naming the file and the line."""
+    out = []
+    for lineno, row in rows:
+        try:
+            out.append(parse(row))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TraceError(f"{path}, line {lineno}: not a {what}: {exc!r}") from None
+    return out
+
+
+def _read_csv(path, parse, what: str) -> list:
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        return _parsed(path, ((reader.line_num, r) for r in reader), parse, what)
+
+
 def read_trace_jsonl(path) -> list[StepRecord]:
-    records = []
     with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, 1):
-            try:
-                records.append(StepRecord(**json.loads(line)))
-            except (TypeError, ValueError) as exc:
-                raise TraceError(f"{path}, line {lineno}: not a step record: {exc}") from None
-    return records
+        return _parsed(path, enumerate(fh, 1), lambda line: StepRecord(**json.loads(line)),
+                       "step record")
 
 
 def write_curve_csv(curve, path) -> None:
@@ -96,9 +109,7 @@ def write_curve_csv(curve, path) -> None:
 
 
 def read_curve_csv(path) -> list[tuple[float, float]]:
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    return [(float(r["alpha_bar"]), float(r["mse"])) for r in rows]
+    return _read_csv(path, lambda r: (float(r["alpha_bar"]), float(r["mse"])), "curve row")
 
 
 def write_bench_csv(rows: list[BenchRow], path) -> None:
@@ -111,11 +122,10 @@ def write_bench_csv(rows: list[BenchRow], path) -> None:
 
 
 def read_bench_csv(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    return [{"method": r["method"], "N": int(r["N"]), "seed": int(r["seed"]),
-             "energy_distance": float(r["energy_distance"]),
-             "wall_ms": float(r["wall_ms"])} for r in rows]
+    return _read_csv(path, lambda r: {
+        "method": r["method"], "N": int(r["N"]), "seed": int(r["seed"]),
+        "energy_distance": float(r["energy_distance"]), "wall_ms": float(r["wall_ms"]),
+    }, "bench row")
 
 
 def write_samples_csv(samples: np.ndarray, path) -> None:
@@ -143,16 +153,19 @@ def write_metrics_json(record: MetricsRecord, path) -> None:
 
 def read_metrics_json(path) -> MetricsRecord:
     with open(path) as fh:
-        payload = json.load(fh)
-    return MetricsRecord(
-        estimator_curve=[(a, m) for a, m in payload["estimator_curve"]],
-        rows=[BenchRow(
-            method=r["method"], steps=r["N"], seed=r["seed"],
-            energy_distance=r["energy_distance"],
-            wall_ms_per_sample=r["wall_ms_per_sample"],
-            clamp_events=r["clamp_events"], y_init_sha=r["y_init_sha"],
-        ) for r in payload["runs"]],
-    )
+        try:
+            payload = json.load(fh)
+            return MetricsRecord(
+                estimator_curve=[(a, m) for a, m in payload["estimator_curve"]],
+                rows=[BenchRow(
+                    method=r["method"], steps=r["N"], seed=r["seed"],
+                    energy_distance=r["energy_distance"],
+                    wall_ms_per_sample=r["wall_ms_per_sample"],
+                    clamp_events=r["clamp_events"], y_init_sha=r["y_init_sha"],
+                ) for r in payload["runs"]],
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TraceError(f"{path}: not a metrics record: {exc!r}") from None
 
 
 def worker_count(n_tasks: int) -> int:

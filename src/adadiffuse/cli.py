@@ -19,7 +19,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import load_config, with_overrides
 from .datasets import generate
 from .diffusion import train_denoiser, train_estimator, training_schedule
-from .errors import ConfigError
+from .errors import ConfigError, ScheduleError
 from .metrics import eval_estimator_curve
 from .models import make_denoiser, make_estimator
 from .sampler import sample_batch
@@ -98,8 +98,12 @@ def _cmd_eval_estimator(args) -> int:
 
 
 def _cmd_solve_schedule(args) -> int:
-    family = ScheduleFamily(args.family, args.beta0)
-    schedule = update_noise_schedule(args.alpha_bar, args.steps, family)
+    try:  # every input is an argument, so a rejected one is a usage error
+        schedule = update_noise_schedule(
+            args.alpha_bar, args.steps, ScheduleFamily(args.family, args.beta0)
+        )
+    except ScheduleError as exc:
+        raise ConfigError(str(exc)) from None
     lines = ["i,beta,alpha_bar,l"]
     for i in range(len(schedule)):
         lines.append(

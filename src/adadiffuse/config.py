@@ -211,10 +211,11 @@ def parse_text(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    return parse_text(path.read_text())
+    try:  # a missing, unreadable or non-UTF-8 file is a config error
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    return parse_text(text)
 
 
 def to_text(cfg: RunConfig) -> str:

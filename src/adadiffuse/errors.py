@@ -22,4 +22,4 @@ class ConfigError(ValueError):
 
 
 class TraceError(ValueError):
-    """Malformed line in a trace file."""
+    """Malformed line or record in a trace or benchmark output file."""

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import ShapeError
 from .diffusion import forward_diffuse
 from .models import Estimator
+from .nn import check_finite
 
 MAX_PAIRS = 1_000_000
 _BLOCK_ELEMS = 1 << 15
@@ -109,5 +110,6 @@ def eval_estimator_curve(
         eps = rng.standard_normal(y0.shape)
         y = forward_diffuse(y0, ab, eps)
         pred = estimator.predict(y)
+        check_finite(pred, f"estimator prediction at grid point {ab!r}")
         curve.append((ab, float(np.mean((pred - ab) ** 2))))
     return curve

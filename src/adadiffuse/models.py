@@ -4,7 +4,10 @@ Both are plain MLPs from the nn kernel. The denoiser consumes the state
 vector concatenated with a scalar conditioning signal (the current
 sqrt-alpha-bar, or a normalized interval index) plus a 16-dim sinusoidal
 embedding of that scalar. The estimator consumes the raw state and emits
-one sigmoid-bounded value.
+one sigmoid-bounded value. predict is the one inference path, used by the
+sampler and the estimator curve: it runs Network.apply, which keeps no
+activation cache and does not check its output for finiteness. Training
+runs the networks through Network.forward (diffusion.py).
 """
 from __future__ import annotations
 
@@ -70,7 +73,7 @@ class Denoiser:
     def predict(self, y: np.ndarray, cond) -> np.ndarray:
         """Predicted injected noise for state(s) y at conditioning value cond."""
         single = np.asarray(y).ndim == 1
-        out = self.net.forward(self.conditioned_input(y, cond))
+        out = self.net.apply(self.conditioned_input(y, cond))
         return out[0] if single else out
 
 
@@ -88,10 +91,11 @@ class Estimator:
             raise ValueError("estimator output must be sigmoid-bounded")
 
     def predict(self, y: np.ndarray) -> np.ndarray | float:
+        """Estimated alpha-bar per state row; a float for a single state."""
         y = np.asarray(y, dtype=np.float64)
         if y.ndim == 1:
-            return float(self.net.forward(y)[0])
-        return self.net.forward(y)[:, 0]
+            return float(self.net.apply(y[None, :])[0, 0])
+        return self.net.apply(y)[:, 0]
 
 
 def make_denoiser(data_dim: int, seed: int, conditioning_mode: str = "continuous_alpha") -> Denoiser:

@@ -12,9 +12,10 @@ the fresh matmul output, the sigmoid uses no boolean masks, backward
 copies the caller's grad_out once and applies each ReLU slope in place on
 its own gradient (never on the cached activations), and Adam keeps each
 moment in one flat buffer that a single sequence of in-place ufuncs
-updates. Network.apply is forward for inference: the same layer code and
-bits, with no activation cache and no finiteness checks; training uses
-forward.
+updates. Network.forward is for training and finite_diff_check: it checks
+its input and output and caches activations for backward. Network.apply
+is for inference (the models' predict): the same layer code and bits,
+with no activation cache and no finiteness checks.
 """
 from __future__ import annotations
 

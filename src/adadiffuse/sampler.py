@@ -9,15 +9,16 @@ n-1 .. 1.
 
 One vectorized engine evolves a batch of independent chains; the public
 single-chain operations are batch-1 wrappers over it. Its state is the
-schedule in force: alpha_bar rows from a base step lo (abar[k - lo + 1] =
-alpha_bar_k), first one shared column from the NoiseSchedule. A re-solve
-at step n replaces it by per-chain rows for steps lo..n-1 only, lo being
-the step of the next re-solve or 1; the alpha_bar_{lo-1} they start from
-is folded in blocks of rows (schedule._solve_window), so no (batch, n)
-array is built. No beta rows are kept: a step reads beta_n from the start
-schedule or, after a re-solve, as one row of its closed form, clipped.
-The same step code broadcasts either form. The networks run through
-Network.apply, which keeps no activation cache and checks nothing; the
+schedule in force: a view of alpha_bar rows whose last row is alpha_bar_n
+of the step about to run, first one shared column from the
+NoiseSchedule. Each step reads the last two rows and drops the last. A
+re-solve at step n installs per-chain rows alpha_bar_{lo-1}..alpha_bar_{n-1}
+only, lo being the step of the next re-solve or 1; they are folded in
+blocks (schedule._solve_window), so no (batch, n) array is built. No beta
+rows are kept: beta_n comes from a function set with the schedule, the
+start schedule's row or one row of the re-solve's closed form, clipped.
+The same step code broadcasts either form. Both networks run through the
+models' predict (Network.apply: no activation cache, no checks); the
 engine checks the estimate and the state once per step, so a non-finite
 value still raises at the step that made it. A step record holds the
 beta_n and alpha_bar_n that chain 0's step ran under, so a run's trace is
@@ -167,6 +168,11 @@ def predicted_clean(y_n, eps_hat, abar) -> np.ndarray:
     return (y_n - np.sqrt(1.0 - abar) * eps_hat) / np.sqrt(abar)
 
 
+def _solved_beta(ab_hat: np.ndarray, n: int, kind: str, beta0: float):
+    """k -> beta_k of the clipped remaining n-step schedules, one per chain."""
+    return lambda k: clamp_betas(_solve_batch(ab_hat, n, kind, beta0, k - 1, k)[0])[0]
+
+
 def _reverse_engine(
     denoiser: Denoiser,
     schedule: NoiseSchedule,
@@ -200,12 +206,11 @@ def _reverse_engine(
             raise ShapeError(f"y_init shape {y.shape} != {(batch, dim)}")
     y_start = y.copy()
 
-    # the in-force schedule holds steps lo..: abar[k - lo + 1] = alpha_bar_k,
-    # one column shared or one per chain; beta_k is the start schedule's, or
-    # row k-1 of the closed form of the re-solve in force, solved = (ab_hat, n)
-    lo = 1
+    # the in-force schedule: a view of alpha_bar rows ending at alpha_bar_n of
+    # the step about to run, one column shared or one per chain; beta_of(n)
+    # is beta_n of the same schedule
     abar = np.concatenate([[1.0], schedule.alpha_bars])[:, None]
-    solved = None
+    beta_of = lambda k: schedule.betas[k - 1:k]
     kind, beta0 = cfg.family.kind, cfg.family.beta0
 
     trace: list[StepRecord] = []
@@ -214,49 +219,40 @@ def _reverse_engine(
 
     for n in range(n_steps, 0, -1):
         t0 = time.perf_counter()
-        if solved is None:
-            beta_n = schedule.betas[n - 1:n]
-        else:
-            beta_n = clamp_betas(_solve_batch(*solved, kind, beta0, n - 1, n)[0])[0]
-        abar_n, abar_prev = abar[n - lo + 1], abar[n - lo]
-        beta_rec, abar_rec = float(beta_n[0]), float(abar_n[0])  # before a re-solve
+        beta_n, abar_n, abar_prev = beta_of(n), abar[-1], abar[-2]
+        abar = abar[:-1]
+        # chain 0's step, under the schedule in force before any re-solve
+        rec = StepRecord(n=n, alpha_hat=None, beta=float(beta_n[0]),
+                         alpha_bar=float(abar_n[0]), wall_ms=0.0)
 
         if cfg.conditioning_mode == "discrete_index":
             t_idx = _indices_for_levels(abar_n, train_bounds)
             cond = t_idx / float(train_bounds.size - 1)
         else:
             cond = np.sqrt(abar_n)
-        eps_hat = denoiser.net.apply(denoiser.conditioned_input(y, cond))
+        eps_hat = denoiser.predict(y, cond)
         z = rng.standard_normal((batch, dim))
         y_det, noise_scale = _reverse_step(
             y, eps_hat, n, beta_n[:, None], abar_n[:, None], abar_prev[:, None],
             cfg.update_rule, cfg.eta,
         )
 
-        alpha_hat_rec = None
         if n in adjust:
-            ab_hat = estimator.net.apply(y_det)[:, 0]
+            ab_hat = estimator.predict(y_det)
             check_finite(ab_hat, f"estimate at step {n}")
             ab_hat = np.clip(ab_hat, AB_CLAMP, 1.0 - AB_CLAMP)
-            alpha_hat_rec = float(ab_hat[0])
-            if n - 1 >= 1:
+            rec.alpha_hat = float(ab_hat[0])
+            if n > 1:
                 # the new schedule governs steps down to the next re-solve's
                 lo = next((k for k in range(n - 1, 1, -1) if k in adjust), 1)
                 abar, n_clamped = _solve_window(ab_hat, n - 1, kind, beta0, lo)
-                solved = (ab_hat, n - 1)
+                beta_of = _solved_beta(ab_hat, n - 1, kind, beta0)
                 clamp_events += n_clamped
 
         y = y_det + noise_scale * z
         check_finite(y, f"state after step {n}")
-        trace.append(
-            StepRecord(
-                n=n,
-                alpha_hat=alpha_hat_rec,
-                beta=beta_rec,
-                alpha_bar=abar_rec,
-                wall_ms=(time.perf_counter() - t0) * 1e3,
-            )
-        )
+        rec.wall_ms = (time.perf_counter() - t0) * 1e3
+        trace.append(rec)
 
     return SamplingRun(
         y0=y,

@@ -179,6 +179,42 @@ def test_trace_reader_names_file_and_line_of_a_malformed_line(tmp_path, bad):
         read_trace_jsonl(path)
 
 
+@pytest.mark.parametrize("text", [
+    "alpha_bar,loss\n0.5,0.1\n",  # missing column
+    "alpha_bar,mse\n0.5,0.1\n0.9,abc\n",  # non-number
+], ids=["missing-column", "non-number"])
+def test_curve_reader_raises_trace_error_naming_file_and_line(tmp_path, text):
+    path = tmp_path / "curve.csv"
+    path.write_text(text)
+    line = 2 if "loss" in text else 3
+    with pytest.raises(TraceError, match=re.escape(f"{path}, line {line}")):
+        read_curve_csv(path)
+
+
+@pytest.mark.parametrize("text", [
+    "method,N,seed,energy_distance\nfixed,6,0,0.01\n",  # missing column
+    "method,N,seed,energy_distance,wall_ms\nfixed,6,0,0.01,0.2\nfixed,six,1,0.01,0.2\n",
+], ids=["missing-column", "non-number"])
+def test_bench_reader_raises_trace_error_naming_file_and_line(tmp_path, text):
+    path = tmp_path / "bench.csv"
+    path.write_text(text)
+    line = 2 if "wall_ms" not in text else 3
+    with pytest.raises(TraceError, match=re.escape(f"{path}, line {line}")):
+        read_bench_csv(path)
+
+
+@pytest.mark.parametrize("text", [
+    '{"estimator_curve": [[0.5, 0.1]], "runs": [',  # truncated
+    '{"estimator_curve": [[0.5, 0.1]]}',  # missing key
+    '{"estimator_curve": [0.5], "runs": []}',  # a number where a pair belongs
+], ids=["truncated", "missing-key", "non-pair"])
+def test_metrics_reader_raises_trace_error_naming_file(tmp_path, text):
+    path = tmp_path / "metrics.json"
+    path.write_text(text)
+    with pytest.raises(TraceError, match=re.escape(str(path))):
+        read_metrics_json(path)
+
+
 def test_config_default_grid_matches_design():
     cfg = parse_text("")
     assert cfg.eval_grid == (0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999)

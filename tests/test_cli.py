@@ -81,12 +81,20 @@ def test_solve_schedule_prints_linear_solution(capsys):
     assert got[1][1] == pytest.approx(0.01 + x, rel=1e-12)
 
 
-def test_solve_schedule_rejects_bad_target(capsys):
-    rc = main([
-        "solve-schedule", "--family", "linear",
-        "--alpha-bar", "1.5", "--steps", "2", "--beta0", "0.01",
-    ])
-    assert rc == 1
+@pytest.mark.parametrize("flag,value,named", [
+    ("--alpha-bar", "1.5", "alpha_bar 1.5"),
+    ("--alpha-bar", "nan", "alpha_bar nan"),
+    ("--steps", "0", "got 0"),
+    ("--beta0", "0.5", "beta0 0.5"),
+], ids=["alpha-bar-1.5", "alpha-bar-nan", "steps-0", "beta0-0.5"])
+def test_solve_schedule_bad_argument_exits_2(tmp_path, capsys, flag, value, named):
+    args = {"--family": "linear", "--alpha-bar": "0.8", "--steps": "2", "--beta0": "0.01"}
+    args[flag] = value
+    out = tmp_path / "sched.csv"
+    argv = ["solve-schedule", "--out", str(out)] + [tok for kv in args.items() for tok in kv]
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_sample_benchmark_pipeline(cfg_file, capsys):
@@ -172,6 +180,14 @@ def test_a_negative_seed_override_exits_2_before_any_checkpoint(cfg_file, capsys
     cfg_path, out = cfg_file
     assert main(["train-denoiser", "--config", str(cfg_path), "--seed", "-1"]) == 2
     assert "seed" in capsys.readouterr().err
+    assert not (out / "denoiser.nesd").exists()
+
+
+def test_a_config_that_is_not_utf8_exits_2_before_any_checkpoint(cfg_file, capsys):
+    cfg_path, out = cfg_file
+    cfg_path.write_bytes(b"\xff" + cfg_path.read_bytes())
+    assert main(["train-denoiser", "--config", str(cfg_path)]) == 2
+    assert str(cfg_path) in capsys.readouterr().err
     assert not (out / "denoiser.nesd").exists()
 
 

@@ -116,6 +116,13 @@ def test_load_config_missing_file(tmp_path):
         load_config(tmp_path / "missing.cfg")
 
 
+def test_load_config_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(b"\xff" + MINIMAL.encode())
+    with pytest.raises(ConfigError, match="latin.cfg.*utf-8"):
+        load_config(path)
+
+
 def test_load_config_reads_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(MINIMAL)

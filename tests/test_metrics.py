@@ -164,6 +164,15 @@ def test_curve_zero_for_perfect_oracle():
     assert curve[0] == (0.25, 0.0)
 
 
+def test_curve_names_the_grid_point_of_a_non_finite_prediction():
+    # predict does not check its output; the curve checks what it reads
+    data = generate(DatasetSpec(size=64, seed=0))
+    est = make_estimator(2, seed=0)
+    est.net.layers[-1].bias[0] = np.nan
+    with pytest.raises(ValueError, match="grid point 0.25"):
+        eval_estimator_curve(est, data, [0.25, 0.5], 16)
+
+
 def test_curve_rejects_empty_or_out_of_range_grid():
     data = generate(DatasetSpec(size=16, seed=0))
     est = make_estimator(2, seed=0)

@@ -68,3 +68,18 @@ def test_estimator_output_bounded():
 def test_bad_conditioning_mode_rejected():
     with pytest.raises(ValueError):
         make_denoiser(2, seed=0, conditioning_mode="fourier")
+
+
+def test_predict_leaves_the_network_cache_as_it_found_it():
+    # predict is inference: it runs Network.apply, which neither caches
+    # activations nor replaces the cache a training forward left
+    den, est = make_denoiser(2, seed=0), make_estimator(2, seed=1)
+    y = np.random.default_rng(0).standard_normal((5, 2))
+    for model, call in ((den, lambda: den.predict(y, 0.5)), (est, lambda: est.predict(y))):
+        assert model.net._cache is None
+        call()
+        assert model.net._cache is None
+        model.net.forward(np.zeros((3, model.net.input_dim)))
+        cache = model.net._cache
+        call()
+        assert model.net._cache is cache

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from adadiffuse.diffusion import forward_diffuse, training_schedule
 from adadiffuse import schedule
 from adadiffuse.errors import ConfigError, ScheduleError, ShapeError
-from adadiffuse.models import make_denoiser, make_estimator
+from adadiffuse.models import Denoiser, Estimator, make_denoiser, make_estimator
 from adadiffuse.sampler import (
     AB_CLAMP,
     SamplerConfig,
@@ -493,3 +493,17 @@ def test_non_finite_network_outputs_raise_at_the_step_that_made_them(small_model
     bad_den.net.layers[-1].bias[1] = np.inf
     with pytest.raises(ValueError, match="after step 6"):
         sample_batch(bad_den, cfg, np.random.default_rng(0), 4, estimator=est, adaptive=True)
+
+
+def test_engine_inference_goes_through_the_models_predict(small_models, monkeypatch):
+    # one denoiser predict per step and one estimator predict per adjustment step
+    den, est = small_models
+    calls = {Denoiser: 0, Estimator: 0}
+    for cls in calls:
+        def counted(self, *args, _predict=cls.predict, _cls=cls):
+            calls[_cls] += 1
+            return _predict(self, *args)
+        monkeypatch.setattr(cls, "predict", counted)
+    cfg = _cfg(steps=9, adjustment_set=frozenset({9, 5, 4, 1}))
+    sample_batch(den, cfg, np.random.default_rng(0), 8, estimator=est, adaptive=True)
+    assert calls == {Denoiser: 9, Estimator: 4}
