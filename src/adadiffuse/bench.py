@@ -92,7 +92,10 @@ def _parsed(path, rows, parse, what: str) -> list:
 def _read_csv(path, parse, what: str) -> list:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        return _parsed(path, ((reader.line_num, r) for r in reader), parse, what)
+        try:  # the text is decoded as the reader fetches rows
+            return _parsed(path, ((reader.line_num, r) for r in reader), parse, what)
+        except UnicodeDecodeError as exc:
+            raise TraceError(f"{path}: not UTF-8 text: {exc!r}") from None
 
 
 def read_trace_jsonl(path) -> list[StepRecord]:

@@ -7,25 +7,26 @@ always executes (mean update and its noise injection) under the schedule
 in force when it started; a re-solve triggered at step n governs steps
 n-1 .. 1.
 
+A re-solve first guards each chain's estimate, alpha_bar_hat <-
+max(alpha_bar_hat, in-force alpha_bar_{n-1}), so it can move the rest of
+a chain's schedule toward less noise only; the paper lets it move either
+way, and unguarded, noisy estimates push chains back into noise.
+
 One vectorized engine evolves a batch of independent chains; the public
 single-chain operations are batch-1 wrappers over it. Its state is the
-schedule in force: a view of alpha_bar rows whose last row is alpha_bar_n
-of the step about to run, first one shared column from the
-NoiseSchedule. Each step reads the last two rows and drops the last. A
-re-solve at step n installs per-chain rows alpha_bar_{lo-1}..alpha_bar_{n-1}
-only, lo being the step of the next re-solve or 1; they are folded in
-blocks (schedule._solve_window), so no (batch, n) array is built. No beta
-rows are kept: beta_n comes from a function set with the schedule, the
-start schedule's row or one row of the re-solve's closed form, clipped.
-The same step code broadcasts either form. Both networks run through the
-models' predict (Network.apply: no activation cache, no checks); the
-engine checks the estimate and the state once per step, so a non-finite
-value still raises at the step that made it. A step record holds the
-beta_n and alpha_bar_n that chain 0's step ran under, so a run's trace is
-O(N): chain 0's whole in-force schedule after a re-solve at step n is
-update_noise_schedule(rec.alpha_hat, n - 1, cfg.family). The engine runs
-the public formulas' code: _reverse_step (behind ddpm_update and
-ddim_update), _solve_batch, clamp_betas and _indices_for_levels.
+schedule in force as k -> alpha_bar_k and k -> beta_k: the start
+schedule's table, shared by all chains, or the last re-solve's closed
+form, one coefficient pair per chain, so steps and re-solves are
+O(batch). Both networks run through the models' predict (Network.apply:
+no activation cache, no checks); the engine checks the estimate and the
+state once per step, so a non-finite value still raises at the step that
+made it. A step record holds the beta_n and alpha_bar_n that chain 0's
+step ran under, so a trace is O(N): the target of a re-solve at step n is
+the next record's alpha_bar, and chain 0's schedule after it is
+update_noise_schedule(next.alpha_bar, n - 1, cfg.family), to rounding.
+The engine runs the public formulas' code: _reverse_step (behind
+ddpm_update and ddim_update), _project (behind update_noise_schedule)
+and _indices_for_levels.
 """
 from __future__ import annotations
 
@@ -41,8 +42,7 @@ from .schedule import (
     NoiseSchedule,
     ScheduleFamily,
     _indices_for_levels,
-    _solve_batch,
-    _solve_window,
+    _project,
     clamp_betas,
 )
 
@@ -168,11 +168,6 @@ def predicted_clean(y_n, eps_hat, abar) -> np.ndarray:
     return (y_n - np.sqrt(1.0 - abar) * eps_hat) / np.sqrt(abar)
 
 
-def _solved_beta(ab_hat: np.ndarray, n: int, kind: str, beta0: float):
-    """k -> beta_k of the clipped remaining n-step schedules, one per chain."""
-    return lambda k: clamp_betas(_solve_batch(ab_hat, n, kind, beta0, k - 1, k)[0])[0]
-
-
 def _reverse_engine(
     denoiser: Denoiser,
     schedule: NoiseSchedule,
@@ -206,12 +201,10 @@ def _reverse_engine(
             raise ShapeError(f"y_init shape {y.shape} != {(batch, dim)}")
     y_start = y.copy()
 
-    # the in-force schedule: a view of alpha_bar rows ending at alpha_bar_n of
-    # the step about to run, one column shared or one per chain; beta_of(n)
-    # is beta_n of the same schedule
-    abar = np.concatenate([[1.0], schedule.alpha_bars])[:, None]
+    # the schedule in force: one shared column until a re-solve
+    abar_table = np.concatenate([[1.0], schedule.alpha_bars])
+    abar_of = lambda k: abar_table[k:k + 1]
     beta_of = lambda k: schedule.betas[k - 1:k]
-    kind, beta0 = cfg.family.kind, cfg.family.beta0
 
     trace: list[StepRecord] = []
     clamp_events = 0
@@ -219,8 +212,7 @@ def _reverse_engine(
 
     for n in range(n_steps, 0, -1):
         t0 = time.perf_counter()
-        beta_n, abar_n, abar_prev = beta_of(n), abar[-1], abar[-2]
-        abar = abar[:-1]
+        beta_n, abar_n, abar_prev = beta_of(n), abar_of(n), abar_of(n - 1)
         # chain 0's step, under the schedule in force before any re-solve
         rec = StepRecord(n=n, alpha_hat=None, beta=float(beta_n[0]),
                          alpha_bar=float(abar_n[0]), wall_ms=0.0)
@@ -243,11 +235,10 @@ def _reverse_engine(
             ab_hat = np.clip(ab_hat, AB_CLAMP, 1.0 - AB_CLAMP)
             rec.alpha_hat = float(ab_hat[0])
             if n > 1:
-                # the new schedule governs steps down to the next re-solve's
-                lo = next((k for k in range(n - 1, 1, -1) if k in adjust), 1)
-                abar, n_clamped = _solve_window(ab_hat, n - 1, kind, beta0, lo)
-                beta_of = _solved_beta(ab_hat, n - 1, kind, beta0)
-                clamp_events += n_clamped
+                guarded = np.maximum(ab_hat, abar_prev)  # toward less noise only
+                form, n_projected = _project(guarded, n - 1, cfg.family.kind, cfg.family.beta0)
+                abar_of, beta_of = form.alpha_bar, form.beta
+                clamp_events += n_projected
 
         y = y_det + noise_scale * z
         check_finite(y, f"state after step {n}")

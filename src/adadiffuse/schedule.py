@@ -5,16 +5,16 @@ cumulative retentions alpha_bar_n = prod_{i<=n}(1 - beta_i) and interval
 boundaries l_0..l_N (their square roots, l_0 = 1). Two solver families
 reconstruct a schedule for a given remaining step count from a target
 cumulative retention: an arithmetic progression and a Fibonacci
-recurrence with golden-ratio closed form.
+recurrence with golden-ratio closed form. Both are read in log space,
+gamma = -log(1 - beta), so gammas that sum to -log(alpha_bar_hat) meet
+prod(1 - beta) = alpha_bar_hat exactly; the target is first projected so
+that every gamma fits the beta bounds and none is clipped.
 
 Each formula has one vectorized implementation that the sampler runs
-per chain: _solve_batch (both closed forms, at any rows, optionally into
-a given buffer), clamp_betas (the beta clip, in place) and
-_indices_for_levels (the level-to-interval lookup). _solve_window folds
-the first two into alpha_bars block by block through one reused buffer,
-clipping only the blocks that can clamp. solve_linear, solve_fibonacci,
-update_noise_schedule and index_for_level are their validated batch-1
-views.
+per chain: _solve_batch (both closed forms, one coefficient pair per
+chain), _project (the target projection) and _indices_for_levels (the
+level-to-interval lookup). solve_linear, solve_fibonacci,
+update_noise_schedule and index_for_level are their batch-1 views.
 """
 from __future__ import annotations
 
@@ -28,10 +28,13 @@ from .errors import ScheduleError
 BETA_FLOOR = 1e-6
 BETA_CEIL = 0.999
 
-WINDOW_BLOCK = 128  # schedule rows per block of _solve_window's alpha_bar fold
+# gamma = -log(1 - beta) at the beta bounds
+GAMMA_FLOOR = -math.log1p(-BETA_FLOOR)
+GAMMA_CEIL = -math.log1p(-BETA_CEIL)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 PHI_CONJ = (1.0 - math.sqrt(5.0)) / 2.0
+FIB_REACH = 34  # the longest Fibonacci schedule that fits the beta bounds (beta0 = 1e-6)
 
 FAMILIES = ("linear", "fibonacci")
 
@@ -68,21 +71,20 @@ class NoiseSchedule:
     betas: np.ndarray
     alpha_bars: np.ndarray
     boundaries: np.ndarray
-    clamped: int = 0  # solver entries that hit the beta clamp
+    clamped: int = 0  # 1 if the solver projected its target, else 0
 
     @classmethod
-    def from_betas(cls, betas, clamped: int = 0) -> "NoiseSchedule":
+    def from_betas(cls, betas) -> "NoiseSchedule":
         b = _validate_betas(betas, floor=BETA_FLOOR)
-        alpha_bars = cumulative_alpha_bar(b)
+        return cls._from_rows(b, cumulative_alpha_bar(b))
+
+    @classmethod
+    def _from_rows(cls, betas: np.ndarray, alpha_bars: np.ndarray, clamped: int = 0):
         if alpha_bars[-1] == 0.0:
             first = int(np.argmax(alpha_bars == 0.0)) + 1
-            raise ScheduleError(f"alpha_bar underflows to 0 at step {first} of {b.size}")
-        return cls(
-            betas=b,
-            alpha_bars=alpha_bars,
-            boundaries=boundaries(b),
-            clamped=clamped,
-        )
+            raise ScheduleError(f"alpha_bar underflows to 0 at step {first} of {betas.size}")
+        bounds = np.concatenate([[1.0], np.sqrt(alpha_bars)])
+        return cls(betas=betas, alpha_bars=alpha_bars, boundaries=bounds, clamped=clamped)
 
     def __len__(self) -> int:
         return self.betas.size
@@ -115,115 +117,118 @@ def clamp_betas(raw: np.ndarray) -> tuple[np.ndarray, int]:
     return np.clip(raw, BETA_FLOOR, BETA_CEIL, out=raw), int(moved)
 
 
-def _solve_batch(
-    ab_hat: np.ndarray, n: int, kind: str, beta0: float, start: int = 0, stop: int | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Unclamped remaining n-step betas for a batch of targets, one column each.
+def _geo(r: float, k):  # 1 + r + ... + r**(k-1)
+    return (np.power(r, k) - 1.0) / (r - 1.0)
 
-    Rows start..stop-1 (default all n) of the solution: entry [j, c] is
-    chain c's beta_{start+j+1}. With out, a (rows, batch) array, the rows
-    are written into it and it is returned. The single solver behind
-    solve_linear, solve_fibonacci, update_noise_schedule and the sampler's
-    re-solves.
-    """
-    i = np.arange(start, n if stop is None else stop, dtype=np.float64)[:, None]
-    if out is None:
-        out = np.empty((i.shape[0], ab_hat.size))
+
+@dataclass(frozen=True)
+class _ClosedForm:
+    """gamma_i = c + d*i (linear) or c*PHI**i + d*PHI_CONJ**i (fibonacci), one
+    (c, d) per chain. Step k reads beta_k = -expm1(-gamma_{k-1}) and
+    alpha_bar_k = exp(-sum_{i<k} gamma_i), each sum in closed form."""
+
+    kind: str
+    c: np.ndarray | float
+    d: np.ndarray | float
+
+    def gamma(self, i):
+        if self.kind == "linear":
+            return self.c + self.d * i
+        return self.c * np.power(PHI, i) + self.d * np.power(PHI_CONJ, i)
+
+    def beta(self, k):
+        # the clip moves a rounding error only, or a beta0 below GAMMA_FLOOR
+        return np.clip(-np.expm1(-self.gamma(k - 1)), BETA_FLOOR, BETA_CEIL)
+
+    def alpha_bar(self, k):
+        if self.kind == "linear":
+            return np.exp(-(self.c * k + self.d * (k * (k - 1) / 2)))
+        return np.exp(-(self.c * _geo(PHI, k) + self.d * _geo(PHI_CONJ, k)))
+
+
+def _solve_batch(target: np.ndarray, n: int, kind: str, beta0: float) -> _ClosedForm:
+    """The n-step closed forms whose gammas sum to target = -log(alpha_bar_hat),
+    one per entry: gamma_0 = target at n = 1, else gamma_0 = beta0 and an
+    arithmetic progression (linear; fibonacci at n = 2) or the recurrence."""
     if n == 1:
-        out[...] = 1.0 - ab_hat
-    elif kind == "linear":
-        x = -2.0 * (np.log(ab_hat) + n * beta0) / (n * (n - 1))
-        np.multiply(x, i, out=out)
-        out += beta0  # the bits of beta0 + x * i
-    elif n == 2:
-        out[...] = np.where(i == 0, beta0, -np.log(ab_hat) - beta0)
-    else:
-        target = -np.log(ab_hat)
-        geo = lambda r: (r**n - 1.0) / (r - 1.0)
-        a = (target - beta0 * geo(PHI_CONJ)) / (geo(PHI) - geo(PHI_CONJ))
-        b = beta0 - a
-        np.multiply(a, PHI**i, out=out)
-        out += b * PHI_CONJ**i
-    return out
+        return _ClosedForm("linear", target, 0.0)
+    if kind == "linear" or n == 2:
+        return _ClosedForm("linear", beta0, 2.0 * (target - n * beta0) / (n * (n - 1)))
+    g, g_conj = _geo(PHI, n), _geo(PHI_CONJ, n)
+    a = (target - beta0 * g_conj) / (g - g_conj)
+    return _ClosedForm("fibonacci", a, beta0 - a)
 
 
-def _solve_window(ab_hat: np.ndarray, n: int, kind: str, beta0: float, lo: int):
-    """alpha_bar_{lo-1}..alpha_bar_n of the clamped remaining n-step schedules.
+def _project(ab_hat: np.ndarray, n: int, kind: str, beta0: float) -> tuple[_ClosedForm, int]:
+    """The remaining n-step closed forms for a batch of targets, each first
+    projected into the interval of T = -log(alpha_bar_hat) where every gamma
+    lies in [GAMMA_FLOOR, GAMMA_CEIL]; also returns how many targets moved.
 
-    Returns (abar, clamped) in a (steps, batch) layout: abar[k - lo + 1] =
-    alpha_bar_k for k in lo-1..n, and clamped counts the clipped entries of
-    all n rows. beta_k itself is row k-1 of _solve_batch, clipped. The
-    alpha_bar_{lo-1} prefix is folded through one (WINDOW_BLOCK, batch)
-    buffer and the window filled in blocks of as many rows; the alpha_bars
-    are sequential products along axis 0, so each has the bits of
-    cumulative_alpha_bar on the whole schedule. A block is clipped only if
-    it can clamp: linear rows are monotone in i, so its first and last rows
-    bound it; Fibonacci rows alternate, so its own min and max do.
+    Each gamma_i is affine in T. Linear gammas run from beta0 to gamma_{n-1},
+    which sets both ends; Fibonacci gammas grow along i, so gamma_1 sets the
+    floor end. Past some n (FIB_REACH at beta0 = 1e-6, 17 at 1e-2) no
+    Fibonacci schedule fits, and the linear form is used instead.
     """
-    def solve_clamped(start, stop, out):
-        nonlocal clamped
-        block = _solve_batch(ab_hat, n, kind, beta0, start, stop, out)
-        bounds = block[::max(len(block) - 1, 1)] if kind == "linear" else block
-        if bounds.min() < BETA_FLOOR or bounds.max() > BETA_CEIL:
-            clamped += clamp_betas(block)[1]
-        return np.subtract(1.0, block, out=block)
+    def ends(kind, floor_row):  # T at gamma_floor_row = GAMMA_FLOOR, gamma_{n-1} = GAMMA_CEIL
+        rows = np.array([[floor_row], [n - 1]])
+        g = _solve_batch(np.array([0.0, 1.0]), n, kind, beta0).gamma(rows)
+        return (np.array([GAMMA_FLOOR, GAMMA_CEIL]) - g[:, 0]) / (g[:, 1] - g[:, 0])
 
-    clamped = 0
-    prefix = np.ones(ab_hat.size)  # alpha_bar after the rows folded so far
-    buf = np.empty((min(WINDOW_BLOCK, lo - 1), ab_hat.size))
-    for start in range(0, lo - 1, WINDOW_BLOCK):
-        stop = min(start + WINDOW_BLOCK, lo - 1)
-        block = solve_clamped(start, stop, buf[:stop - start])
-        block[0] *= prefix
-        np.multiply.reduce(block, axis=0, out=prefix)
-    abar = np.empty((n - lo + 2, ab_hat.size))
-    abar[0] = prefix
-    for start in range(lo - 1, n, WINDOW_BLOCK):
-        stop = min(start + WINDOW_BLOCK, n)
-        solve_clamped(start, stop, abar[start - lo + 2:stop - lo + 2])
-    for k in range(1, abar.shape[0]):
-        abar[k] *= abar[k - 1]
-    return abar, clamped
+    lo, hi = ends(kind, 1) if kind == "fibonacci" and 2 < n <= FIB_REACH else (np.inf, -np.inf)
+    if lo > hi:  # no Fibonacci interval, or none asked for: the linear form
+        kind = "linear"
+        lo, hi = ends(kind, n - 1)
+    target = -np.log(ab_hat)
+    moved = np.count_nonzero(target < lo) + np.count_nonzero(target > hi)
+    return _solve_batch(np.clip(target, lo, hi), n, kind, beta0), int(moved)
 
 
-def _solve_one(alpha_bar_hat: float, n: int, kind: str, beta0: float) -> np.ndarray:
+def _check_target(alpha_bar_hat: float, n: int) -> None:
     if n < 1:
         raise ScheduleError(f"remaining step count must be >= 1, got {n}")
     if not (0.0 < alpha_bar_hat < 1.0):  # NaN and +-inf fail too
         raise ScheduleError(f"target alpha_bar {alpha_bar_hat} outside (0, 1)")
-    return _solve_batch(np.array([alpha_bar_hat], dtype=np.float64), n, kind, beta0)[:, 0]
+
+
+def _solve_one(alpha_bar_hat: float, n: int, kind: str, beta0: float, clamp: bool) -> np.ndarray:
+    _check_target(alpha_bar_hat, n)
+    raw = _solve_batch(-np.log([alpha_bar_hat]), n, kind, beta0).gamma(np.arange(n))
+    return clamp_betas(raw)[0] if clamp else raw
 
 
 def solve_linear(alpha_bar_hat: float, n: int, beta0: float, clamp: bool = True) -> np.ndarray:
-    """Arithmetic-progression betas: beta_i = beta0 + i*x, i = 0..n-1.
+    """Arithmetic-progression gammas: gamma_i = beta0 + i*x, i = 0..n-1.
 
     The common difference is x = -2*(log(alpha_bar_hat) + n*beta0)/(n*(n-1)),
-    which makes the beta sum equal -log(alpha_bar_hat) exactly. n = 1 returns
-    the exact single-step schedule [1 - alpha_bar_hat] regardless of beta0.
-    With clamp=True (default) entries are clipped into [1e-6, 0.999]; pass
-    clamp=False to inspect the raw solution.
+    which makes the sum equal -log(alpha_bar_hat) exactly. n = 1 returns
+    [-log(alpha_bar_hat)] regardless of beta0. With clamp=True (default)
+    entries are clipped into [1e-6, 0.999]; pass clamp=False to inspect the
+    raw solution.
     """
-    raw = _solve_one(alpha_bar_hat, n, "linear", beta0)
-    return clamp_betas(raw)[0] if clamp else raw
+    return _solve_one(alpha_bar_hat, n, "linear", beta0, clamp)
 
 
 def solve_fibonacci(alpha_bar_hat: float, n: int, beta0: float, clamp: bool = True) -> np.ndarray:
-    """Fibonacci-recurrence betas via the golden-ratio closed form.
+    """Fibonacci-recurrence gammas via the golden-ratio closed form.
 
-    For n >= 3, beta_i = A*phi**i + B*phi'**i with phi, phi' the roots of
-    x^2 - x - 1, where (A, B) solve {A + B = beta0; sum beta_i =
-    -log(alpha_bar_hat)} using geometric-series sums. n = 1 is the exact
-    single-step schedule; n = 2 pins beta0 and sets beta_1 from the sum.
+    For n >= 3, gamma_i = A*phi**i + B*phi'**i with phi, phi' the roots of
+    x^2 - x - 1, where (A, B) solve {A + B = beta0; sum gamma_i =
+    -log(alpha_bar_hat)} using geometric-series sums. n = 1 is as in
+    solve_linear; n = 2 pins beta0 and sets gamma_1 from the sum.
     """
-    raw = _solve_one(alpha_bar_hat, n, "fibonacci", beta0)
-    return clamp_betas(raw)[0] if clamp else raw
+    return _solve_one(alpha_bar_hat, n, "fibonacci", beta0, clamp)
 
 
 def update_noise_schedule(alpha_bar_hat: float, n: int, family: ScheduleFamily) -> NoiseSchedule:
-    """Re-derive the remaining n-step schedule from an estimated alpha-bar."""
-    betas, n_clamped = clamp_betas(_solve_one(alpha_bar_hat, n, family.kind, family.beta0))
-    return NoiseSchedule.from_betas(betas, clamped=n_clamped)
+    """Re-derive the remaining n-step schedule from an estimated alpha-bar.
+
+    The target is projected (clamped = 1 if it moved) and met to rounding;
+    the rows have the bits the sampler's re-solve gives each chain.
+    """
+    _check_target(alpha_bar_hat, n)
+    form, moved = _project(np.array([alpha_bar_hat]), n, family.kind, family.beta0)
+    k = np.arange(1, n + 1, dtype=np.float64)
+    return NoiseSchedule._from_rows(form.beta(k), form.alpha_bar(k), moved)
 
 
 def _indices_for_levels(ab: np.ndarray, bounds: np.ndarray) -> np.ndarray:

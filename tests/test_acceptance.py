@@ -193,10 +193,11 @@ def benchmark_record(run_config, trained_denoiser, trained_estimator, tmp_path_f
 
 
 def test_criterion_6_few_step_improvement(benchmark_record):
-    # Expected RED at desk scale: the fixed 6-step baseline already reaches
+    # A near tie at desk scale: the fixed 6-step baseline already reaches
     # data-level energy distance (the near-1-conditioned MLP acts as a
-    # mode-seeking projection), while the adaptive loop inherits the
-    # estimator's information floor and scatters the output radially.
+    # mode-seeking projection). With the monotone guard most re-solves aim
+    # at the in-force level, so adaptive reads within 1e-5 of fixed and a
+    # change of bits can tip the comparison either way.
     adaptive = float(np.mean(benchmark_record.energy_distances("adaptive", 6)))
     fixed = float(np.mean(benchmark_record.energy_distances("fixed", 6)))
     ok = adaptive <= fixed
@@ -211,8 +212,9 @@ def test_criterion_6_few_step_improvement(benchmark_record):
 
 
 def test_criterion_6_high_step_convergence(benchmark_record):
-    # Expected RED at desk scale: per-step re-solves driven by the
-    # floor-limited estimator destabilize some N=1000 chains.
+    # Expected RED at desk scale, in adaptive's favour: the first re-solve
+    # starts each chain at a much cleaner level than the fixed schedule's
+    # alpha_bar_N, and the bound is symmetric, so the gap reads red.
     adaptive = float(np.mean(benchmark_record.energy_distances("adaptive", 1000)))
     fixed = float(np.mean(benchmark_record.energy_distances("fixed", 1000)))
     gap = abs(adaptive - fixed) / max(adaptive, fixed)
@@ -222,7 +224,7 @@ def test_criterion_6_high_step_convergence(benchmark_record):
         f"mean ED adaptive {adaptive:.4f} vs fixed {fixed:.4f}, relative gap {gap:.2f} (<=0.10)",
     )
     assert gap <= 0.10, (
-        "per-step re-solves destabilize some N=1000 chains at this scale: "
+        "adaptive and fixed differ by more than 10% at N=1000: "
         f"adaptive {adaptive:.4f} vs fixed {fixed:.4f}"
     )
 

@@ -203,6 +203,17 @@ def test_bench_reader_raises_trace_error_naming_file_and_line(tmp_path, text):
         read_bench_csv(path)
 
 
+@pytest.mark.parametrize("reader,header", [
+    (read_curve_csv, b"alpha_bar,mse\n0.5,0.1\n"),
+    (read_bench_csv, b"method,N,seed,energy_distance,wall_ms\nfixed,6,0,0.01,0.2\n"),
+], ids=["curve", "bench"])
+def test_csv_readers_raise_trace_error_on_a_non_utf8_byte(tmp_path, reader, header):
+    path = tmp_path / "rows.csv"
+    path.write_bytes(header + b"\xff,0.2\n")
+    with pytest.raises(TraceError, match=re.escape(f"{path}: not UTF-8")):
+        reader(path)
+
+
 @pytest.mark.parametrize("text", [
     '{"estimator_curve": [[0.5, 0.1]], "runs": [',  # truncated
     '{"estimator_curve": [[0.5, 0.1]]}',  # missing key

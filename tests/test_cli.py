@@ -76,9 +76,11 @@ def test_solve_schedule_prints_linear_solution(capsys):
         assert row[1] == pytest.approx(sched.betas[i], rel=1e-12)
         assert row[2] == pytest.approx(sched.alpha_bars[i], rel=1e-12)
         assert row[3] == pytest.approx(sched.boundaries[i + 1], rel=1e-12)
-    # the two-step closed form: x = -(log 0.8 + 2 b0)/1, betas = b0, b0 + x
+    # the two-step closed form: x = -(log 0.8 + 2 b0)/1, gammas = b0, b0 + x,
+    # read as beta = -expm1(-gamma), so the last alpha_bar meets the target
     x = -(math.log(0.8) + 0.02)
-    assert got[1][1] == pytest.approx(0.01 + x, rel=1e-12)
+    assert got[1][1] == pytest.approx(-math.expm1(-(0.01 + x)), rel=1e-12)
+    assert got[1][2] == pytest.approx(0.8, rel=1e-12)
 
 
 @pytest.mark.parametrize("flag,value,named", [

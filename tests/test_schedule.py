@@ -11,11 +11,11 @@ from adadiffuse.schedule import (
     BETA_CEIL,
     BETA_FLOOR,
     PHI,
+    GAMMA_CEIL,
+    GAMMA_FLOOR,
     PHI_CONJ,
     NoiseSchedule,
     ScheduleFamily,
-    _solve_batch,
-    _solve_window,
     boundaries,
     clamp_betas,
     cumulative_alpha_bar,
@@ -71,7 +71,9 @@ def test_solve_linear_constant_when_target_matches():
 
 
 def test_solve_linear_single_step_exact():
-    np.testing.assert_allclose(solve_linear(0.6, 1, 0.01), [0.4], atol=1e-15)
+    # the one-step gamma; read as beta = -expm1(-gamma) it is 1 - 0.6
+    np.testing.assert_allclose(solve_linear(0.6, 1, 0.01), [-math.log(0.6)], atol=1e-15)
+    np.testing.assert_allclose(-np.expm1(-solve_linear(0.6, 1, 0.01)), [0.4], atol=1e-15)
 
 
 def test_solve_linear_two_step_example():
@@ -94,7 +96,7 @@ def test_solve_linear_rejects_bad_inputs():
 
 
 def test_solve_fibonacci_small_step_counts():
-    np.testing.assert_allclose(solve_fibonacci(0.6, 1, 1e-4), [0.4], atol=1e-15)
+    np.testing.assert_allclose(solve_fibonacci(0.6, 1, 1e-4), [-math.log(0.6)], atol=1e-15)
     betas = solve_fibonacci(0.6, 2, 1e-4)
     np.testing.assert_allclose(betas, [1e-4, -math.log(0.6) - 1e-4], atol=1e-15)
 
@@ -143,9 +145,10 @@ def test_product_tracks_target_in_taylor_regime(solver, ab, n):
 
 
 def test_update_noise_schedule_constant_case():
+    # gamma = 1e-3 at every step, read as beta = -expm1(-gamma)
     family = ScheduleFamily("linear", 1e-3)
     sched = update_noise_schedule(math.exp(-3 * 1e-3), 3, family)
-    np.testing.assert_allclose(sched.betas, np.full(3, 1e-3), atol=1e-12)
+    np.testing.assert_allclose(sched.betas, np.full(3, -math.expm1(-1e-3)), atol=1e-12)
     np.testing.assert_allclose(sched.boundaries[1:] ** 2, sched.alpha_bars, atol=1e-15)
 
 
@@ -161,7 +164,7 @@ def test_update_noise_schedule_fibonacci_monotone(ab, b0):
 def test_update_noise_schedule_near_clean_target_clamps(kind):
     sched = update_noise_schedule(0.999999, 6, ScheduleFamily(kind, 1e-6))
     assert np.all(sched.betas >= 1e-6)
-    assert sched.clamped > 0
+    assert sched.clamped == 1  # the target was projected
     assert np.all(np.isfinite(sched.alpha_bars))
 
 
@@ -257,97 +260,36 @@ def test_clamp_betas_clips_in_place_and_counts_the_entries_it_moved(raw):
     assert moved == np.count_nonzero(expected != raw) and type(moved) is int
 
 
-# The blocked re-solve as it was before it reused one buffer and clipped
-# only the blocks that can clamp; _solve_window must keep its bits and
-# its clamp count.
-def _ref_solve_batch(ab_hat, n, kind, beta0, start, stop):
-    i = np.arange(start, stop, dtype=np.float64)[:, None]
-    if n == 1:
-        return (1.0 - ab_hat)[None, :]
-    if kind == "linear":
-        x = -2.0 * (np.log(ab_hat) + n * beta0) / (n * (n - 1))
-        return beta0 + x * i
-    target = -np.log(ab_hat)
-    if n == 2:
-        return np.where(i == 0, beta0, target - beta0)
-    geo = lambda r: (r**n - 1.0) / (r - 1.0)
-    a = (target - beta0 * geo(PHI_CONJ)) / (geo(PHI) - geo(PHI_CONJ))
-    b = beta0 - a
-    return a * PHI**i + b * PHI_CONJ**i
+def _feasible_targets(kind, m, beta0):
+    """[lo, hi] of T = -log(alpha_bar) over which every gamma_i, i >= 1, of
+    the raw closed form lies in [GAMMA_FLOOR, GAMMA_CEIL] (gamma_0 = T at m = 1,
+    else beta0); each gamma_i is affine in T, so two solves give its line."""
+    solve = solve_linear if kind == "linear" else solve_fibonacci
+    g1, g2 = (solve(math.exp(-t), m, beta0, clamp=False) for t in (1.0, 2.0))
+    rows = range(1, m) if m > 1 else range(1)
+    lo = max(1.0 + (GAMMA_FLOOR - g1[i]) / (g2[i] - g1[i]) for i in rows)
+    hi = min(1.0 + (GAMMA_CEIL - g1[i]) / (g2[i] - g1[i]) for i in rows)
+    return (lo, hi) if lo <= hi else _feasible_targets("linear", m, beta0)
 
 
-def _ref_solve_window(ab_hat, n, kind, beta0, lo, block_rows=128):
-    def clamped_block(start, stop):
-        raw = _ref_solve_batch(ab_hat, n, kind, beta0, start, stop)
-        block = np.clip(raw, BETA_FLOOR, BETA_CEIL)
-        return block, int(np.count_nonzero(block != raw))
-
-    prefix = np.ones(ab_hat.size)
-    clamped = 0
-    for start in range(0, lo - 1, block_rows):
-        block, n_clamped = clamped_block(start, min(start + block_rows, lo - 1))
-        clamped += n_clamped
-        block = 1.0 - block
-        block[0] *= prefix
-        prefix = np.multiply.reduce(block, axis=0)
-    betas = np.empty((n - lo + 1, ab_hat.size))
-    for start in range(lo - 1, n, block_rows):
-        stop = min(start + block_rows, n)
-        betas[start - lo + 1:stop - lo + 1], n_clamped = clamped_block(start, stop)
-        clamped += n_clamped
-    abar = np.empty((betas.shape[0] + 1, ab_hat.size))
-    abar[0] = prefix
-    abar[1:] = 1.0 - betas
-    for k in range(1, abar.shape[0]):
-        abar[k] *= abar[k - 1]
-    return betas, abar, clamped
-
-
-def _check_window_against_reference(ab_hat, n, kind, beta0, lo):
-    ref_betas, ref_abar, ref_clamped = _ref_solve_window(ab_hat, n, kind, beta0, lo)
-    abar, clamped = _solve_window(ab_hat, n, kind, beta0, lo)
-    assert abar.tobytes() == ref_abar.tobytes()
-    assert clamped == ref_clamped and type(clamped) is int  # metrics.json stores it
-    # the sampler reads beta_k as row k-1 of the closed form, clipped
-    for k in range(lo, n + 1):
-        beta_k = clamp_betas(_solve_batch(ab_hat, n, kind, beta0, k - 1, k)[0])[0]
-        assert beta_k.tobytes() == ref_betas[k - lo].tobytes()
-    return ref_clamped
-
-
-WINDOW_TARGETS = np.concatenate([
-    [1e-7, 1.0 - 1e-7],
-    np.random.default_rng(11).uniform(1e-7, 1.0 - 1e-7, 14),
-    10.0 ** -np.random.default_rng(12).uniform(0.0, 7.0, 8),
-]).clip(1e-7, 1.0 - 1e-7)
-
-
-@pytest.mark.parametrize("kind,beta0", [("linear", 1e-4), ("linear", 1e-2), ("fibonacci", 1e-4)])
-@pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 129, 300, 999])
-def test_solve_window_matches_the_plain_blocked_fold(kind, beta0, n):
-    # lo - 1 on a 128-row block edge (lo = 1, 129, 257) and off it
-    for lo in sorted({1, 2, 3, 64, 129, 130, 257, n // 2, n - 1, n} & set(range(1, n + 1))):
-        _check_window_against_reference(WINDOW_TARGETS, n, kind, beta0, lo)
-
-
-def test_solve_window_counts_fibonacci_clamps_that_sit_mid_block():
-    # the alternating rows 1, 3, ... and 16..29 clamp at the floor, while
-    # rows 0 and 33..39, the ends of every block below, stay in range
-    ab, n, beta0 = np.array([0.9991142482275172]), 40, 1e-3
-    raw = _solve_batch(ab, n, "fibonacci", beta0)[:, 0]
-    clipped = np.flatnonzero((raw < BETA_FLOOR) | (raw > BETA_CEIL))
-    assert clipped.size > 10 and clipped.min() > 0 and clipped.max() < 33
-    for lo in (1, 12, 35, 40):
-        assert _check_window_against_reference(ab, n, "fibonacci", beta0, lo) == clipped.size
-
-
-@pytest.mark.parametrize("n", [128, 256])
-def test_solve_window_counts_a_linear_clamp_on_a_block_last_row(n):
-    # x < 0 puts beta_n, the last row of a 128-row block, alone below the floor
-    beta0 = 1e-4
-    x = -(beta0 - BETA_FLOOR) / (n - 1.5)
-    ab = np.array([math.exp(-(n * beta0 + x * n * (n - 1) / 2))])
-    raw = _solve_batch(ab, n, "linear", beta0)[:, 0]
-    assert list(np.flatnonzero((raw < BETA_FLOOR) | (raw > BETA_CEIL))) == [n - 1]
-    for lo in (1, 2, 100, n - 1, n):
-        assert _check_window_against_reference(ab, n, "linear", beta0, lo) == 1
+@pytest.mark.parametrize("kind,m", [
+    *[("linear", m) for m in (1, 2, 3, 7, 999)],
+    *[("fibonacci", m) for m in (1, 2, 3, 7)],
+    ("fibonacci", 40),  # no Fibonacci schedule this long fits: the linear form
+])
+@pytest.mark.parametrize("beta0", [1e-4, 1e-2])  # at or above GAMMA_FLOOR, so gamma_0 fits too
+def test_update_noise_schedule_projects_targets_onto_the_feasible_interval(kind, m, beta0):
+    # linear m = 3, beta0 = 1e-4 at the floor end solves to beta_3 =
+    # 9.99999999999987e-07 before the rounding clip
+    lo, hi = _feasible_targets(kind, m, beta0)
+    targets = [lo, lo / 2, hi, 2 * hi]
+    for t in (t for t in targets if t < 700):  # exp(-t) must be a positive double
+        sched = update_noise_schedule(math.exp(-t), m, ScheduleFamily(kind, beta0))
+        assert len(sched) == m
+        assert np.all(sched.betas >= BETA_FLOOR) and np.all(sched.betas <= BETA_CEIL)
+        assert np.all(np.diff(sched.alpha_bars) < 0)
+        np.testing.assert_allclose(sched.boundaries[1:] ** 2, sched.alpha_bars, rtol=1e-12)
+        projected = min(max(t, lo), hi)
+        assert sched.alpha_bars[-1] == pytest.approx(math.exp(-projected), rel=1e-12)
+        if not lo * (1 - 1e-9) <= t <= hi * (1 + 1e-9):
+            assert sched.clamped == 1
