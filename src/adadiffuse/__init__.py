@@ -28,8 +28,6 @@ from .sampler import (
 from .schedule import (
     NoiseSchedule,
     ScheduleFamily,
-    boundaries,
-    cumulative_alpha_bar,
     index_for_level,
     solve_fibonacci,
     solve_linear,
@@ -41,11 +39,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamState", "DatasetSpec", "DenseLayer", "Denoiser", "Estimator",
     "Network", "NoiseSchedule", "NoisyBatch", "SamplerConfig", "SamplingRun",
-    "ScheduleFamily", "StepRecord", "TrainConfig", "adam_step", "boundaries",
-    "cumulative_alpha_bar", "ddim_update", "ddpm_update", "energy_distance",
-    "estimator_loss", "eval_estimator_curve", "finite_diff_check",
-    "forward_diffuse", "generate", "index_for_level", "init_network",
-    "initial_noise_schedule", "make_denoiser", "make_estimator",
+    "ScheduleFamily", "StepRecord", "TrainConfig", "adam_step", "ddim_update",
+    "ddpm_update", "energy_distance", "estimator_loss", "eval_estimator_curve",
+    "finite_diff_check", "forward_diffuse", "generate", "index_for_level",
+    "init_network", "initial_noise_schedule", "make_denoiser", "make_estimator",
     "sample_adaptive", "sample_batch", "sample_fixed", "sample_noise_level",
     "solve_fibonacci", "solve_linear", "train_denoiser", "train_estimator",
     "training_schedule", "update_noise_schedule",

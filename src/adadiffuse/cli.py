@@ -23,7 +23,7 @@ from .errors import ConfigError, ScheduleError
 from .metrics import eval_estimator_curve
 from .models import make_denoiser, make_estimator
 from .sampler import sample_batch
-from .schedule import ScheduleFamily, update_noise_schedule
+from .schedule import FAMILIES, ScheduleFamily, update_noise_schedule
 
 
 def _require_config(args) -> "RunConfig":
@@ -168,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_eval_estimator)
 
     p = sub.add_parser("solve-schedule", parents=[common])
-    p.add_argument("--family", choices=("linear", "fibonacci"), required=True)
+    p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--alpha-bar", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--beta0", type=float, required=True)

@@ -1,5 +1,8 @@
 """Forward diffusion, noise-level sampling and the training loop of both models.
 
+Training draws its noise levels from training_schedule, the linear
+family's fixed schedule (ScheduleFamily.fixed, beta0 = 1e-4): a stage
+uniform in 1..N, then a level uniform in that stage's boundary interval.
 The denoiser learns to predict injected noise under an L1 objective; the
 noise-level estimator regresses the cumulative retention alpha-bar under
 an L2 loss on log(1 - alpha_bar), which weights errors near 1 heavily.
@@ -22,7 +25,7 @@ import numpy as np
 from .errors import ShapeError
 from .models import Denoiser, Estimator
 from .nn import AdamState, adam_step
-from .schedule import NoiseSchedule
+from .schedule import NoiseSchedule, ScheduleFamily
 
 LOG_CLAMP = 1e-7
 
@@ -54,8 +57,8 @@ class TrainConfig:
 
 
 def training_schedule(stage_count: int) -> NoiseSchedule:
-    """Fixed training-time schedule: linear betas from 1e-4 to 2e-2."""
-    return NoiseSchedule.from_betas(np.linspace(1e-4, 2e-2, stage_count))
+    """Fixed training-time schedule: the linear family's, from beta0 = 1e-4."""
+    return ScheduleFamily("linear", 1e-4).fixed(stage_count)
 
 
 def forward_diffuse(y0: np.ndarray, alpha_bar, epsilon: np.ndarray) -> np.ndarray:
@@ -79,18 +82,15 @@ def forward_diffuse(y0: np.ndarray, alpha_bar, epsilon: np.ndarray) -> np.ndarra
     return np.sqrt(ab) * y0 + np.sqrt(1.0 - ab) * epsilon
 
 
-def sample_noise_level(rng: np.random.Generator, bounds: np.ndarray, n_stages: int):
+def sample_noise_level(rng: np.random.Generator, schedule: NoiseSchedule):
     """One (stage, sqrt_alpha_bar) draw: stage uniform, level uniform in its interval."""
-    s, a = sample_noise_levels(rng, bounds, n_stages, 1)
+    s, a = sample_noise_levels(rng, schedule, 1)
     return int(s[0]), float(a[0])
 
 
-def sample_noise_levels(rng: np.random.Generator, bounds: np.ndarray, n_stages: int, size: int):
-    bounds = np.asarray(bounds, dtype=np.float64)
-    if bounds.size != n_stages + 1:
-        raise ShapeError(f"boundary table length {bounds.size} != stage count {n_stages} + 1")
-    s = rng.integers(1, n_stages + 1, size=size)
-    a = rng.uniform(bounds[s], bounds[s - 1])
+def sample_noise_levels(rng: np.random.Generator, schedule: NoiseSchedule, size: int):
+    s = rng.integers(1, len(schedule) + 1, size=size)
+    a = rng.uniform(schedule.boundaries[s], schedule.boundaries[s - 1])
     return s, a
 
 
@@ -117,7 +117,7 @@ def make_noisy_batch(data: np.ndarray, schedule: NoiseSchedule, rngs,
     picks, stages, levels, noise = [], [], [], []
     for rng in rngs:
         picks.append(rng.integers(0, data.shape[0], size=batch_size))
-        s, a = sample_noise_levels(rng, schedule.boundaries, len(schedule), batch_size)
+        s, a = sample_noise_levels(rng, schedule, batch_size)
         stages.append(s)
         levels.append(a)
         noise.append(rng.standard_normal((batch_size, *data.shape[1:])))

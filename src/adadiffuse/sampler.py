@@ -15,18 +15,19 @@ way, and unguarded, noisy estimates push chains back into noise.
 One vectorized engine evolves a batch of independent chains; the public
 single-chain operations are batch-1 wrappers over it. Its state is the
 schedule in force as k -> alpha_bar_k and k -> beta_k: the start
-schedule's table, shared by all chains, or the last re-solve's closed
-form, one coefficient pair per chain, so steps and re-solves are
-O(batch). Both networks run through the models' predict (Network.apply:
-no activation cache, no checks); the engine checks the estimate and the
-state once per step, so a non-finite value still raises at the step that
-made it. A step record holds the beta_n and alpha_bar_n that chain 0's
-step ran under, so a trace is O(N): the target of a re-solve at step n is
-the next record's alpha_bar, and chain 0's schedule after it is
-update_noise_schedule(next.alpha_bar, n - 1, cfg.family), to rounding.
-The engine runs the public formulas' code: _reverse_step (behind
-ddpm_update and ddim_update), _project (behind update_noise_schedule)
-and _indices_for_levels.
+schedule's table (the family's ScheduleFamily.fixed), shared by all
+chains, or the last re-solve's closed form, one coefficient pair per
+chain, so steps and re-solves are O(batch). Both networks run through
+the models' predict (Network.apply: no activation cache, no checks); the
+engine checks the estimate and the state once per step, so a non-finite
+value still raises at the step that made it. A step record holds the
+beta_n and alpha_bar_n that chain 0's step ran under, so a trace is
+O(N): the target of a re-solve at step n is the next record's alpha_bar,
+and chain 0's schedule after it is update_noise_schedule(next.alpha_bar,
+n - 1, cfg.family), to rounding. The engine runs the public formulas'
+code: _reverse_step (behind ddpm_update and ddim_update, with DDIM's
+sigma from eq. 16 of arXiv:2010.02502), _project (behind
+update_noise_schedule) and _indices_for_levels (behind index_for_level).
 """
 from __future__ import annotations
 
@@ -38,13 +39,7 @@ import numpy as np
 from .errors import ConfigError, ScheduleError, ShapeError
 from .models import Denoiser, Estimator
 from .nn import check_finite
-from .schedule import (
-    NoiseSchedule,
-    ScheduleFamily,
-    _indices_for_levels,
-    _project,
-    clamp_betas,
-)
+from .schedule import NoiseSchedule, ScheduleFamily, _indices_for_levels, _project
 
 UPDATE_RULES = ("ddpm", "ddim")
 
@@ -69,8 +64,8 @@ class SamplerConfig:
             raise ValueError("adjustment set must be a subset of {1..steps}")
         if self.update_rule not in UPDATE_RULES:
             raise ValueError(f"unknown update rule {self.update_rule!r}")
-        if not (np.isfinite(self.eta) and self.eta >= 0):
-            raise ValueError(f"eta must be finite and nonnegative, got {self.eta}")
+        if not (0.0 <= self.eta <= 1.0):  # NaN fails too; DDIM's sigma needs eta <= 1
+            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
         if self.seed < 0:
             raise ValueError(f"sampler.seed must be >= 0, got {self.seed}")
 
@@ -99,20 +94,8 @@ class SamplingRun:
 
 
 def initial_noise_schedule(cfg: SamplerConfig) -> NoiseSchedule:
-    """Fixed N-step baseline for the configured family.
-
-    linear: betas evenly spaced from beta0 to 2e-2; fibonacci: the
-    recurrence seeded (beta0, beta0), truncated and clamped.
-    """
-    n, beta0 = cfg.steps, cfg.family.beta0
-    if cfg.family.kind == "linear":
-        betas = np.linspace(beta0, 2e-2, n)
-    else:
-        seq = [beta0, beta0]
-        while len(seq) < n:
-            seq.append(seq[-1] + seq[-2])
-        betas = np.array(seq[:n])
-    return NoiseSchedule.from_betas(clamp_betas(betas)[0])
+    """Fixed N-step baseline for the configured family (ScheduleFamily.fixed)."""
+    return cfg.family.fixed(cfg.steps)
 
 
 def _reverse_step(y, eps_hat, n: int, beta, abar, abar_prev, rule: str, eta: float):
@@ -121,13 +104,17 @@ def _reverse_step(y, eps_hat, n: int, beta, abar, abar_prev, rule: str, eta: flo
     The step's result is det + scale * z; the engine keeps the two apart
     because the estimator reads det, the state before noise is added.
     beta, abar = alpha_bar_n and abar_prev = alpha_bar_{n-1} are scalars
-    or per-chain columns that broadcast against the state y.
+    or per-chain columns that broadcast against the state y. DDIM's noise
+    scale is eq. 16 of arXiv:2010.02502, sigma^2 = eta^2 * beta *
+    (1 - abar_prev) / (1 - abar), which at eta = 1 is DDPM's posterior
+    variance; beta <= 1 - abar keeps 1 - abar_prev - sigma^2 >= 0 for
+    eta <= 1.
     """
     if rule == "ddpm":
         alpha = 1.0 - beta
         det = (y - (1.0 - alpha) / np.sqrt(1.0 - abar) * eps_hat) / np.sqrt(alpha)
         return det, np.sqrt(beta) if n != 1 else np.zeros(np.shape(beta))
-    sigma = eta * np.sqrt(beta * (1.0 - abar_prev) * (1.0 - abar))
+    sigma = eta * np.sqrt(beta * (1.0 - abar_prev) / (1.0 - abar))
     resid = 1.0 - abar_prev - sigma**2
     if np.any(resid < -1e-9):
         raise ScheduleError(f"inconsistent schedule: 1 - abar_prev - sigma^2 = {np.min(resid)}")

@@ -1,8 +1,13 @@
-"""Noise-schedule algebra and the closed-form remaining-schedule solvers.
+"""Noise schedules: the fixed schedules, their derived rows and the
+closed-form remaining-schedule solvers.
 
 A schedule is a per-step noise sequence beta_1..beta_N with derived
 cumulative retentions alpha_bar_n = prod_{i<=n}(1 - beta_i) and interval
-boundaries l_0..l_N (their square roots, l_0 = 1). Two solver families
+boundaries l_0..l_N (their square roots, l_0 = 1). NoiseSchedule.from_betas
+is the one path from betas to these rows, and holds the one validity rule:
+every beta in [BETA_FLOOR, BETA_CEIL]. ScheduleFamily.fixed builds each
+family's fixed N-step schedule, the sampler's start schedule and (linear,
+beta0 = 1e-4) the training schedule. Two solver families
 reconstruct a schedule for a given remaining step count from a target
 cumulative retention: an arithmetic progression and a Fibonacci
 recurrence with golden-ratio closed form. Both are read in log space,
@@ -39,28 +44,6 @@ FIB_REACH = 34  # the longest Fibonacci schedule that fits the beta bounds (beta
 FAMILIES = ("linear", "fibonacci")
 
 
-def _validate_betas(betas, floor: float) -> np.ndarray:
-    b = np.asarray(betas, dtype=np.float64)
-    if b.ndim != 1 or b.size == 0:
-        raise ScheduleError("betas must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(b)):
-        raise ScheduleError("betas contain non-finite entries")
-    if np.any(b < floor) or np.any(b > BETA_CEIL):
-        raise ScheduleError(f"betas outside [{floor}, {BETA_CEIL}]")
-    return b
-
-
-def cumulative_alpha_bar(betas) -> np.ndarray:
-    """Cumulative retention alpha_bar_1..alpha_bar_N."""
-    b = _validate_betas(betas, floor=0.0)
-    return np.cumprod(1.0 - b)
-
-
-def boundaries(betas) -> np.ndarray:
-    """Interval boundaries l_0..l_N, l_s = sqrt(prod_{i<=s}(1 - beta_i))."""
-    return np.concatenate([[1.0], np.sqrt(cumulative_alpha_bar(betas))])
-
-
 @dataclass(frozen=True)
 class NoiseSchedule:
     """Beta sequence with derived alpha-bar and boundary arrays.
@@ -75,8 +58,13 @@ class NoiseSchedule:
 
     @classmethod
     def from_betas(cls, betas) -> "NoiseSchedule":
-        b = _validate_betas(betas, floor=BETA_FLOOR)
-        return cls._from_rows(b, cumulative_alpha_bar(b))
+        """The schedule of a non-empty beta sequence inside [BETA_FLOOR, BETA_CEIL]."""
+        b = np.asarray(betas, dtype=np.float64)
+        if b.ndim != 1 or b.size == 0:
+            raise ScheduleError("betas must be a non-empty 1-D sequence")
+        if not np.all((b >= BETA_FLOOR) & (b <= BETA_CEIL)):  # NaN fails too
+            raise ScheduleError(f"betas outside [{BETA_FLOOR}, {BETA_CEIL}]")
+        return cls._from_rows(b, np.cumprod(1.0 - b))
 
     @classmethod
     def _from_rows(cls, betas: np.ndarray, alpha_bars: np.ndarray, clamped: int = 0):
@@ -109,12 +97,18 @@ class ScheduleFamily:
         if not (1e-6 <= self.beta0 <= 1e-2):
             raise ScheduleError(f"beta0 {self.beta0} outside [1e-6, 1e-2]")
 
-
-def clamp_betas(raw: np.ndarray) -> tuple[np.ndarray, int]:
-    """Clip betas into [BETA_FLOOR, BETA_CEIL] in place; also returns how many
-    lay below or above (a NaN entry stays NaN and is not counted)."""
-    moved = np.count_nonzero(raw < BETA_FLOOR) + np.count_nonzero(raw > BETA_CEIL)
-    return np.clip(raw, BETA_FLOOR, BETA_CEIL, out=raw), int(moved)
+    def fixed(self, n: int) -> NoiseSchedule:
+        """The fixed n-step schedule: linear betas evenly spaced from beta0 to
+        2e-2, or the Fibonacci recurrence seeded (beta0, beta0); clipped into
+        [BETA_FLOOR, BETA_CEIL]."""
+        if self.kind == "linear":
+            betas = np.linspace(self.beta0, 2e-2, n)
+        else:
+            seq = [self.beta0, self.beta0]
+            while len(seq) < n:
+                seq.append(seq[-1] + seq[-2])
+            betas = np.array(seq[:n])
+        return NoiseSchedule.from_betas(np.clip(betas, BETA_FLOOR, BETA_CEIL))
 
 
 def _geo(r: float, k):  # 1 + r + ... + r**(k-1)
@@ -193,7 +187,7 @@ def _check_target(alpha_bar_hat: float, n: int) -> None:
 def _solve_one(alpha_bar_hat: float, n: int, kind: str, beta0: float, clamp: bool) -> np.ndarray:
     _check_target(alpha_bar_hat, n)
     raw = _solve_batch(-np.log([alpha_bar_hat]), n, kind, beta0).gamma(np.arange(n))
-    return clamp_betas(raw)[0] if clamp else raw
+    return np.clip(raw, GAMMA_FLOOR, GAMMA_CEIL) if clamp else raw
 
 
 def solve_linear(alpha_bar_hat: float, n: int, beta0: float, clamp: bool = True) -> np.ndarray:
@@ -202,8 +196,8 @@ def solve_linear(alpha_bar_hat: float, n: int, beta0: float, clamp: bool = True)
     The common difference is x = -2*(log(alpha_bar_hat) + n*beta0)/(n*(n-1)),
     which makes the sum equal -log(alpha_bar_hat) exactly. n = 1 returns
     [-log(alpha_bar_hat)] regardless of beta0. With clamp=True (default)
-    entries are clipped into [1e-6, 0.999]; pass clamp=False to inspect the
-    raw solution.
+    entries are clipped into [GAMMA_FLOOR, GAMMA_CEIL], the gammas of the
+    beta bounds; pass clamp=False to inspect the raw solution.
     """
     return _solve_one(alpha_bar_hat, n, "linear", beta0, clamp)
 
@@ -214,7 +208,8 @@ def solve_fibonacci(alpha_bar_hat: float, n: int, beta0: float, clamp: bool = Tr
     For n >= 3, gamma_i = A*phi**i + B*phi'**i with phi, phi' the roots of
     x^2 - x - 1, where (A, B) solve {A + B = beta0; sum gamma_i =
     -log(alpha_bar_hat)} using geometric-series sums. n = 1 is as in
-    solve_linear; n = 2 pins beta0 and sets gamma_1 from the sum.
+    solve_linear; n = 2 pins beta0 and sets gamma_1 from the sum. clamp is
+    as in solve_linear.
     """
     return _solve_one(alpha_bar_hat, n, "fibonacci", beta0, clamp)
 
@@ -239,13 +234,8 @@ def _indices_for_levels(ab: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return np.clip(t, 1, bounds.size - 1)
 
 
-def index_for_level(alpha_bar_hat: float, bounds: np.ndarray) -> int:
-    """Interval index t >= 1 with sqrt(alpha_bar_hat) in [l_t, l_{t-1}].
-
-    Out-of-range levels clamp to the first/last interval. bounds must be
-    strictly decreasing with bounds[0] == 1.
-    """
-    bounds = np.asarray(bounds, dtype=np.float64)
-    if bounds.size < 2 or bounds[0] != 1.0 or np.any(np.diff(bounds) >= 0):
-        raise ScheduleError("boundaries must start at 1 and strictly decrease")
-    return int(_indices_for_levels(np.array([alpha_bar_hat], dtype=np.float64), bounds)[0])
+def index_for_level(alpha_bar_hat: float, schedule: NoiseSchedule) -> int:
+    """Interval index t >= 1 of schedule with sqrt(alpha_bar_hat) in
+    [l_t, l_{t-1}]; out-of-range levels clamp to the first/last interval."""
+    level = np.array([alpha_bar_hat], dtype=np.float64)
+    return int(_indices_for_levels(level, schedule.boundaries)[0])

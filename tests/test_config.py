@@ -47,6 +47,7 @@ def test_bad_value_becomes_config_error():
     for text in ("bench.steps_list = 6,-2", "bench.samples_per_run = 0",
                  "bench.reference_size = 0", "eval.samples_per_point = 0",
                  "train.checkpoint_every = -3", "sampler.eta = nan", "sampler.eta = inf",
+                 "sampler.eta = 1.5",
                  "eval.grid = 0.5,1.5", "eval.grid = 0,0.5", "eval.grid = nan",
                  "seeds = 0,1,0", "bench.steps_list = 6,1000,6"):
         with pytest.raises(ConfigError):

@@ -23,7 +23,7 @@ from adadiffuse.diffusion import (
 from adadiffuse.errors import ShapeError
 from adadiffuse.models import Estimator, make_denoiser, make_estimator
 from adadiffuse.nn import AdamState
-from adadiffuse.schedule import NoiseSchedule, boundaries
+from adadiffuse.schedule import NoiseSchedule
 
 
 def test_forward_diffuse_extremes():
@@ -52,26 +52,27 @@ def test_forward_diffuse_rejects_nan_alpha_bar(ab):
 
 
 def test_sample_noise_level_single_interval():
-    l = np.array([1.0, 0.5])
+    sched = NoiseSchedule.from_betas([0.75])  # l = 1, 0.5
     rng = np.random.default_rng(0)
     for _ in range(200):
-        s, a = sample_noise_level(rng, l, 1)
+        s, a = sample_noise_level(rng, sched)
         assert s == 1
         assert 0.5 <= a <= 1.0
 
 
 def test_sample_noise_level_deterministic_under_seed():
-    l = boundaries(np.linspace(1e-4, 2e-2, 50))
-    draws1 = [sample_noise_level(np.random.default_rng(42), l, 50) for _ in range(5)]
-    draws2 = [sample_noise_level(np.random.default_rng(42), l, 50) for _ in range(5)]
+    sched = training_schedule(50)
+    draws1 = [sample_noise_level(np.random.default_rng(42), sched) for _ in range(5)]
+    draws2 = [sample_noise_level(np.random.default_rng(42), sched) for _ in range(5)]
     assert draws1 == draws2
 
 
 def test_sample_noise_level_interval_frequencies():
     # chi-square against the uniform multinomial, df = 9, 3 sigma ~ 21.7
-    l = boundaries(np.linspace(1e-4, 2e-2, 10))
+    sched = training_schedule(10)
+    l = sched.boundaries
     rng = np.random.default_rng(123)
-    s, a = sample_noise_levels(rng, l, 10, 100_000)
+    s, a = sample_noise_levels(rng, sched, 100_000)
     counts = np.bincount(s, minlength=11)[1:]
     chi2 = (((counts - 10_000.0) ** 2) / 10_000.0).sum()
     assert chi2 < 9 + 3 * math.sqrt(18)
@@ -198,7 +199,7 @@ def _per_step_reference(model, data, cfg):
     for step in range(cfg.total_steps):
         rng = np.random.default_rng([cfg.seed, step])
         y0 = data[rng.integers(0, data.shape[0], size=cfg.batch_size)]
-        stages, sqrt_ab = sample_noise_levels(rng, schedule.boundaries, len(schedule), y0.shape[0])
+        stages, sqrt_ab = sample_noise_levels(rng, schedule, y0.shape[0])
         eps = rng.standard_normal(y0.shape)
         y_s = forward_diffuse(y0, sqrt_ab**2, eps)
         if isinstance(model, Estimator):
@@ -318,3 +319,11 @@ def test_training_schedule_is_valid():
     assert len(sched) == 1000
     assert sched.betas[0] == pytest.approx(1e-4)
     assert sched.betas[-1] == pytest.approx(2e-2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 50, 1000, 4000])
+def test_training_schedule_keeps_the_bits_of_the_linspace_schedule(n):
+    got = training_schedule(n)
+    want = NoiseSchedule.from_betas(np.linspace(1e-4, 2e-2, n))
+    for row in ("betas", "alpha_bars", "boundaries"):
+        assert getattr(got, row).tobytes() == getattr(want, row).tobytes()

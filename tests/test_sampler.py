@@ -98,13 +98,24 @@ def test_ddim_update_matches_duplicate_formula_eta_one():
         abar = np.prod(1.0 - sched.betas[:n])
         abar_prev = np.prod(1.0 - sched.betas[: n - 1]) if n > 1 else 1.0
         y0_hat = (y - math.sqrt(1 - abar) * eps) / math.sqrt(abar)
-        sigma = 1.0 * math.sqrt(beta * (1 - abar_prev) * (1 - abar))
+        sigma = 1.0 * math.sqrt(beta * (1 - abar_prev) / (1 - abar))
         expected = (
             math.sqrt(abar_prev) * y0_hat
             + math.sqrt(max(0.0, 1 - abar_prev - sigma**2)) * eps
             + sigma * z
         )
         np.testing.assert_allclose(ddim_update(y, eps, n, sched, 1.0, z), expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_ddim_sigma_at_eta_one_is_the_ddpm_posterior_variance(n):
+    # DDIM eq. 16: sigma^2 = beta_n (1 - alpha_bar_{n-1}) / (1 - alpha_bar_n)
+    sched = initial_noise_schedule(_cfg(steps=6))
+    y, eps = np.array([0.3, -1.2]), np.array([0.5, 0.1])
+    ones = np.ones(2)
+    sigma = ddim_update(y, eps, n, sched, 1.0, ones) - ddim_update(y, eps, n, sched, 1.0, 0 * ones)
+    want = sched.betas[n - 1] * (1 - sched.alpha_bar(n - 1)) / (1 - sched.alpha_bar(n))
+    np.testing.assert_allclose(sigma**2, want, rtol=1e-9)
 
 
 def test_ddim_final_step_is_clean_prediction():
@@ -136,6 +147,27 @@ def test_initial_noise_schedule_invariants(kind, n, beta0):
     assert len(sched) == n
     assert np.all(sched.betas >= 1e-6) and np.all(sched.betas <= 0.999)
     assert np.all(np.diff(sched.alpha_bars) < 0) or n == 1
+
+
+@pytest.mark.parametrize("kind,n,beta0", [
+    ("linear", 1, 1e-4), ("linear", 6, 1e-4), ("linear", 1000, 1e-6), ("linear", 100, 1e-2),
+    ("fibonacci", 1, 1e-4), ("fibonacci", 6, 1e-4), ("fibonacci", 34, 1e-6),
+    ("fibonacci", 40, 1e-4),  # saturates at 0.999 from step 21
+])
+def test_initial_noise_schedule_keeps_the_bits_of_the_inline_formulas(kind, n, beta0):
+    if kind == "linear":
+        betas = np.linspace(beta0, 2e-2, n)
+    else:
+        seq = [beta0, beta0]
+        while len(seq) < n:
+            seq.append(seq[-1] + seq[-2])
+        betas = np.array(seq[:n])
+    want = NoiseSchedule.from_betas(np.clip(betas, 1e-6, 0.999))
+    got = initial_noise_schedule(_cfg(steps=n, family=ScheduleFamily(kind, beta0)))
+    for row in ("betas", "alpha_bars", "boundaries"):
+        assert getattr(got, row).tobytes() == getattr(want, row).tobytes()
+    if (kind, n) == ("fibonacci", 40):
+        assert np.count_nonzero(got.betas == 0.999) == 20
 
 
 def test_initial_noise_schedule_rejects_alpha_bar_underflow():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from adadiffuse.errors import ScheduleError
 from adadiffuse.schedule import (
@@ -16,9 +15,6 @@ from adadiffuse.schedule import (
     PHI_CONJ,
     NoiseSchedule,
     ScheduleFamily,
-    boundaries,
-    clamp_betas,
-    cumulative_alpha_bar,
     index_for_level,
     solve_fibonacci,
     solve_linear,
@@ -33,34 +29,30 @@ SOLVER_GRID = [
 ]
 
 
-def test_boundaries_rejects_empty_and_handles_zero():
+def test_boundaries_rejects_empty():
     with pytest.raises(ScheduleError):
-        boundaries([])
-    np.testing.assert_array_equal(boundaries([0.0]), [1.0, 1.0])
+        NoiseSchedule.from_betas([])
 
 
 def test_boundaries_single_step():
-    np.testing.assert_allclose(boundaries([0.19]), [1.0, 0.9], atol=1e-15)
+    np.testing.assert_allclose(NoiseSchedule.from_betas([0.19]).boundaries, [1.0, 0.9], atol=1e-15)
 
 
 def test_boundaries_product_oracle():
-    betas = np.full(10, 0.01)
-    l = boundaries(betas)
+    l = NoiseSchedule.from_betas(np.full(10, 0.01)).boundaries
     assert l[10] == pytest.approx(math.sqrt(0.99**10), abs=1e-15)
     assert l.size == 11
 
 
 def test_cumulative_alpha_bar_trivial():
-    np.testing.assert_array_equal(cumulative_alpha_bar([0.0, 0.0, 0.0]), [1.0, 1.0, 1.0])
-    np.testing.assert_allclose(cumulative_alpha_bar([0.5, 0.5]), [0.5, 0.25], atol=1e-15)
+    np.testing.assert_allclose(NoiseSchedule.from_betas([0.5, 0.5]).alpha_bars, [0.5, 0.25],
+                               atol=1e-15)
 
 
 def test_boundary_square_identity():
     rng = np.random.default_rng(5)
-    betas = rng.uniform(1e-4, 0.05, size=20)
-    l = boundaries(betas)
-    ab = cumulative_alpha_bar(betas)
-    np.testing.assert_allclose(l[1:] ** 2, ab, atol=1e-12)
+    sched = NoiseSchedule.from_betas(rng.uniform(1e-4, 0.05, size=20))
+    np.testing.assert_allclose(sched.boundaries[1:] ** 2, sched.alpha_bars, atol=1e-12)
 
 
 def test_solve_linear_constant_when_target_matches():
@@ -93,6 +85,17 @@ def test_solve_linear_rejects_bad_inputs():
         solve_linear(1.0, 3, 1e-4)
     with pytest.raises(ScheduleError):
         solve_linear(0.5, 0, 1e-4)
+
+
+def test_default_clip_is_in_gamma_and_keeps_the_target():
+    # gammas past the beta ceiling's 0.999 but below GAMMA_CEIL = -log(0.001)
+    lin = solve_linear(0.001, 2, 1e-4)
+    fib = solve_fibonacci(0.01, 3, 1e-4)  # gammas 1e-4, ~2.30, ~2.30
+    assert lin[-1] > 0.999 and fib[-1] > 0.999
+    assert lin.sum() == pytest.approx(-math.log(0.001), abs=1e-12)
+    assert fib.sum() == pytest.approx(-math.log(0.01), abs=1e-12)
+    # beyond GAMMA_CEIL the clip still binds
+    assert solve_linear(1e-4, 2, 1e-4)[-1] == GAMMA_CEIL
 
 
 def test_solve_fibonacci_small_step_counts():
@@ -169,20 +172,20 @@ def test_update_noise_schedule_near_clean_target_clamps(kind):
 
 
 def test_index_for_level_trivial_cases():
-    l = np.array([1.0, 0.9, 0.5])
-    assert index_for_level(1.0, l) == 1
-    assert index_for_level(0.49, l) == 2  # sqrt(0.49) = 0.7 in [0.5, 0.9]
-    assert index_for_level(0.999999, l) == 1
-    assert index_for_level(0.01, l) == 2  # below l_N clamps to N
+    sched = NoiseSchedule.from_betas([0.19, 1.0 - 0.25 / 0.81])  # l = 1, 0.9, 0.5
+    assert index_for_level(1.0, sched) == 1
+    assert index_for_level(0.49, sched) == 2  # sqrt(0.49) = 0.7 in [0.5, 0.9]
+    assert index_for_level(0.999999, sched) == 1
+    assert index_for_level(0.01, sched) == 2  # below l_N clamps to N
 
 
 def test_index_for_level_matches_linear_scan():
     rng = np.random.default_rng(17)
-    betas = rng.uniform(1e-4, 0.05, size=50)
-    l = boundaries(betas)
+    sched = NoiseSchedule.from_betas(rng.uniform(1e-4, 0.05, size=50))
+    l = sched.boundaries
     for level in rng.uniform(0.0, 1.0, size=1000):
         ab = level**2
-        t = index_for_level(ab, l)
+        t = index_for_level(ab, sched)
         # linear-scan reference
         scan = 50
         for s in range(1, 51):
@@ -194,25 +197,17 @@ def test_index_for_level_matches_linear_scan():
         assert t == scan
 
 
-def test_index_for_level_rejects_bad_boundaries():
-    with pytest.raises(ScheduleError):
-        index_for_level(0.5, np.array([0.9, 0.5]))
-    with pytest.raises(ScheduleError):
-        index_for_level(0.5, np.array([1.0, 0.5, 0.5]))
-
-
 def test_noise_schedule_invariants_enforced():
-    with pytest.raises(ScheduleError):
-        NoiseSchedule.from_betas([1e-9])  # below the beta floor
-    with pytest.raises(ScheduleError):
-        NoiseSchedule.from_betas([0.9999])
+    # each bound is inside, and so is its inner neighbour; its outer
+    # neighbour, the infinities and NaN are not
+    for beta in (BETA_FLOOR, BETA_CEIL, np.nextafter(BETA_FLOOR, 1), np.nextafter(BETA_CEIL, 0)):
+        assert NoiseSchedule.from_betas([beta]).betas[0] == beta
+    for beta in (np.nextafter(BETA_FLOOR, 0), np.nextafter(BETA_CEIL, 1), 1e-9, 0.9999,
+                 -np.inf, np.inf, np.nan):
+        with pytest.raises(ScheduleError, match="outside"):
+            NoiseSchedule.from_betas([beta])
     with pytest.raises(ScheduleError, match="underflows to 0 at step 108 of 120"):
         NoiseSchedule.from_betas(np.full(120, 0.999))  # 0.001**108 is below every double
-
-
-def test_cumulative_products_accept_zero_beta():
-    np.testing.assert_array_equal(cumulative_alpha_bar([0.0, 0.75]), [1.0, 0.25])
-    np.testing.assert_array_equal(boundaries([0.0, 0.75]), [1.0, 1.0, 0.5])
 
 
 def test_schedule_family_validation():
@@ -236,28 +231,6 @@ def test_update_noise_schedule_always_valid(ab, n, b0, kind):
     assert np.all(np.diff(sched.alpha_bars) < 0)
     assert sched.boundaries[0] == 1.0
     np.testing.assert_allclose(sched.boundaries[1:] ** 2, sched.alpha_bars, atol=1e-12)
-
-
-# each bound, its neighbouring floats on both sides, and the infinities
-EDGE_BETAS = [
-    edge
-    for bound in (BETA_FLOOR, BETA_CEIL)
-    for edge in (bound, np.nextafter(bound, -np.inf), np.nextafter(bound, np.inf))
-] + [-np.inf, np.inf]
-
-
-@settings(max_examples=100, deadline=None)
-@given(raw=hnp.arrays(
-    np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=8),
-    elements=st.one_of(st.floats(allow_nan=False), st.sampled_from(EDGE_BETAS)),
-))
-def test_clamp_betas_clips_in_place_and_counts_the_entries_it_moved(raw):
-    expected = np.clip(raw, BETA_FLOOR, BETA_CEIL)
-    arg = raw.copy()
-    out, moved = clamp_betas(arg)
-    assert out is arg
-    assert arg.tobytes() == expected.tobytes()
-    assert moved == np.count_nonzero(expected != raw) and type(moved) is int
 
 
 def _feasible_targets(kind, m, beta0):
