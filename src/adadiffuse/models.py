@@ -5,9 +5,11 @@ vector concatenated with a scalar conditioning signal (the current
 sqrt-alpha-bar, or a normalized interval index) plus a 16-dim sinusoidal
 embedding of that scalar. The estimator consumes the raw state and emits
 one sigmoid-bounded value. predict is the one inference path, used by the
-sampler and the estimator curve: it runs Network.apply, which keeps no
-activation cache and does not check its output for finiteness. Training
-runs the networks through Network.forward (diffusion.py).
+sampler and the estimator curve: it runs Network.apply, which computes in
+float32 and returns float64 (agreeing with Network.forward to float32
+precision), keeps no activation cache and does not check its output for
+finiteness. Training runs the networks through Network.forward in
+float64 (diffusion.py).
 """
 from __future__ import annotations
 

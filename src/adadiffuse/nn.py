@@ -1,6 +1,6 @@
 """Minimal dense neural network kernel.
 
-Float64 feedforward networks built from (weight, bias, activation) layers,
+Feedforward networks built from float64 (weight, bias, activation) layers,
 with hand-derived backward passes, an Adam optimizer and a central
 finite-difference gradient checker. This is all the model machinery the
 denoiser and the noise-level estimator need; there is no general autodiff
@@ -12,10 +12,14 @@ the fresh matmul output, the sigmoid uses no boolean masks, backward
 copies the caller's grad_out once and applies each ReLU slope in place on
 its own gradient (never on the cached activations), and Adam keeps each
 moment in one flat buffer that a single sequence of in-place ufuncs
-updates. Network.forward is for training and finite_diff_check: it checks
-its input and output and caches activations for backward. Network.apply
-is for inference (the models' predict): the same layer code and bits,
-with no activation cache and no finiteness checks.
+updates. Network.forward is for training and finite_diff_check: it runs
+in float64, checks its input and output and caches activations for
+backward. Network.apply is for inference (the models' predict): the same
+layer code in float32, cast from the float64 parameters on each call,
+with no activation cache and no finiteness checks. It returns float64
+that agrees with forward to float32 precision, |apply - forward| <=
+1e-5 + 1e-5 |forward| for inputs and activations of order one; a value
+beyond float32's range (about 3.4e38) becomes inf.
 """
 from __future__ import annotations
 
@@ -101,9 +105,10 @@ class DenseLayer:
 
 
 def _layer_out(layer: DenseLayer, a: np.ndarray) -> np.ndarray:
-    """act(a @ weight + bias), the bias add and any ReLU in the matmul's output."""
-    z = a @ layer.weight
-    z += layer.bias
+    """act(a @ weight + bias) in a's dtype, the bias add and any ReLU in the
+    matmul's output; float64 rows use the parameters themselves, uncopied."""
+    z = a @ layer.weight.astype(a.dtype, copy=False)
+    z += layer.bias.astype(a.dtype, copy=False)
     return _activate(layer.activation, z)
 
 
@@ -158,16 +163,20 @@ class Network:
         return acts[-1][0] if single else acts[-1]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """forward() for inference on a batch (n, input_dim), with the same bits.
+        """forward() for inference on a batch (n, input_dim), in float32.
 
-        Keeps no activation cache and checks no entry for finiteness; the
-        caller checks what it reads.
+        Casts the rows and each layer's parameters to float32 on every call
+        (Adam updates the float64 parameters in place, so no copy is kept)
+        and returns float64 that agrees with forward() to float32
+        precision (see the module docstring). Keeps no activation cache
+        and checks no entry for finiteness; the caller checks what it reads.
         """
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ShapeError(f"input dim {x.shape} incompatible with input_dim {self.input_dim}")
+        x = x.astype(np.float32)
         for layer in self.layers:
             x = _layer_out(layer, x)
-        return x
+        return x.astype(np.float64)
 
     def backward(self, grad_out: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Exact gradients of a scalar loss w.r.t. every weight and bias.

@@ -18,16 +18,18 @@ schedule in force as k -> alpha_bar_k and k -> beta_k: the start
 schedule's table (the family's ScheduleFamily.fixed), shared by all
 chains, or the last re-solve's closed form, one coefficient pair per
 chain, so steps and re-solves are O(batch). Both networks run through
-the models' predict (Network.apply: no activation cache, no checks); the
-engine checks the estimate and the state once per step, so a non-finite
-value still raises at the step that made it. A step record holds the
-beta_n and alpha_bar_n that chain 0's step ran under, so a trace is
-O(N): the target of a re-solve at step n is the next record's alpha_bar,
-and chain 0's schedule after it is update_noise_schedule(next.alpha_bar,
-n - 1, cfg.family), to rounding. The engine runs the public formulas'
-code: _reverse_step (behind ddpm_update and ddim_update, with DDIM's
-sigma from eq. 16 of arXiv:2010.02502), _project (behind
-update_noise_schedule) and _indices_for_levels (behind index_for_level).
+the models' predict (Network.apply: float32 layers, no activation cache,
+no checks); the engine's own arithmetic stays float64. It checks the
+estimate and the state once per step, so a non-finite value, including a
+state beyond float32's range that the networks turned into inf, raises
+at the step that made it. A step record holds the beta_n and alpha_bar_n
+that chain 0's step ran under, so a trace is O(N): the target of a
+re-solve at step n is the next record's alpha_bar, and chain 0's schedule
+after it is update_noise_schedule(next.alpha_bar, n - 1, cfg.family), to
+rounding. The engine runs the public formulas' code: _reverse_step
+(behind ddpm_update and ddim_update, with DDIM's sigma from eq. 16 of
+arXiv:2010.02502), _project (behind update_noise_schedule) and
+_indices_for_levels (behind index_for_level).
 """
 from __future__ import annotations
 

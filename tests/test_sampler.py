@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from adadiffuse.diffusion import forward_diffuse, training_schedule
 from adadiffuse.errors import ConfigError, ScheduleError, ShapeError
 from adadiffuse.models import Denoiser, Estimator, make_denoiser, make_estimator
+from adadiffuse.nn import Network, _layer_out
 from adadiffuse.sampler import (
     AB_CLAMP,
     SamplerConfig,
@@ -577,3 +578,50 @@ def test_engine_inference_goes_through_the_models_predict(small_models, monkeypa
     cfg = _cfg(steps=9, adjustment_set=frozenset({9, 5, 4, 1}))
     sample_batch(den, cfg, np.random.default_rng(0), 8, estimator=est, adaptive=True)
     assert calls == {Denoiser: 9, Estimator: 4}
+
+
+def _apply_float64(self, x):
+    """The float64 reference for Network.apply: the layer loop on the float64 parameters."""
+    for layer in self.layers:
+        x = _layer_out(layer, x)
+    return x
+
+
+@pytest.mark.parametrize("beta0", [1e-4, 1e-6], ids=["linear", "linear-clamp"])
+@pytest.mark.parametrize("steps", [6, 100])
+@pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
+def test_float32_inference_moves_sampled_outputs_by_float32_rounding_only(
+    small_models, monkeypatch, beta0, steps, adaptive
+):
+    # the engine with float32 networks against the same engine with the
+    # float64 layer loop; at beta0 = 1e-6 the first re-solve projects the
+    # target of every chain
+    den, est = small_models
+    cfg = _cfg(steps=steps, family=ScheduleFamily("linear", beta0),
+               adjustment_set=frozenset(range(1, steps + 1)))
+
+    def run():
+        return sample_batch(den, cfg, np.random.default_rng(3), 64, estimator=est, adaptive=adaptive)
+
+    shipped = run()
+    if adaptive and beta0 == 1e-6:
+        assert shipped.clamp_events > 0
+    monkeypatch.setattr(Network, "apply", _apply_float64)
+    reference = run()
+    assert np.max(np.abs(shipped.y0 - reference.y0)) <= 1e-4
+    assert shipped.clamp_events == reference.clamp_events
+
+
+def test_a_state_beyond_float32_range_raises_at_the_step_that_met_it(small_models, monkeypatch):
+    # 1e39 overflows float32 inside the networks, and the engine's state
+    # check names the step; the float64 layer loop samples on. Healthy
+    # chains stay within |y| <= 3
+    den, _ = small_models
+    cfg = _cfg(steps=6)
+    y_init = np.full((4, 2), 1e39)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="state after step 6"):
+            sample_batch(den, cfg, np.random.default_rng(0), 4, y_init=y_init)
+    monkeypatch.setattr(Network, "apply", _apply_float64)
+    run = sample_batch(den, cfg, np.random.default_rng(0), 4, y_init=y_init)
+    assert np.all(np.isfinite(run.y0))
