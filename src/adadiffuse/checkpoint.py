@@ -17,15 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError
-from .models import Denoiser, Estimator
+from .models import CONDITIONING_MODES, Denoiser, Estimator
 from .nn import ACTIVATIONS, DenseLayer, Network
 from .schedule import NoiseSchedule
 
 MAGIC = b"NESD"
 VERSION = 1
 
-_COND_CODES = {"continuous_alpha": 0, "discrete_index": 1}
-_COND_NAMES = {v: k for k, v in _COND_CODES.items()}
 _DIM_LIMIT = 2**32  # tensor dims are stored as u32
 
 
@@ -144,7 +142,7 @@ def save_checkpoint(models: dict, schedule: NoiseSchedule | None, path) -> None:
     if den is not None:
         tensors.update(_network_tensors("denoiser", den.net))
         tensors["denoiser/meta"] = np.array(
-            [float(den.data_dim), float(_COND_CODES[den.conditioning_mode])]
+            [float(den.data_dim), float(CONDITIONING_MODES.index(den.conditioning_mode))]
         )
     est = models.get("estimator")
     if est is not None:
@@ -162,11 +160,11 @@ def load_checkpoint(path) -> tuple[dict, NoiseSchedule | None]:
     try:
         if "denoiser/meta" in tensors:
             meta = tensors["denoiser/meta"]
-            code = _stored_int(meta[1], len(_COND_NAMES), "denoiser conditioning code")
+            code = _stored_int(meta[1], len(CONDITIONING_MODES), "denoiser conditioning code")
             models["denoiser"] = Denoiser(
                 net=_network_from_tensors("denoiser", tensors),
                 data_dim=_stored_int(meta[0], _DIM_LIMIT, "denoiser data_dim"),
-                conditioning_mode=_COND_NAMES[code],
+                conditioning_mode=CONDITIONING_MODES[code],
             )
         if "estimator/meta" in tensors:
             meta = tensors["estimator/meta"]

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import run_benchmark, write_curve_csv, write_samples_csv, write_trace_jsonl
+from .bench import METHODS, run_benchmark, write_curve_csv, write_samples_csv, write_trace_jsonl
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import load_config, with_overrides
 from .datasets import generate
@@ -176,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", parents=[common])
     p.add_argument("--models", help="directory holding model checkpoints")
-    p.add_argument("--mode", choices=("fixed", "adaptive"), default="adaptive")
+    p.add_argument("--mode", choices=METHODS, default="adaptive")
     p.set_defaults(handler=_cmd_sample)
 
     p = sub.add_parser("benchmark", parents=[common])

@@ -102,6 +102,8 @@ def eval_estimator_curve(
         raise ValueError("evaluation grid must not be empty")
     if any(not (0.0 < g < 1.0) for g in grid):
         raise ValueError("grid values must lie in (0, 1)")
+    if samples_per_point < 1:
+        raise ValueError(f"samples_per_point must be >= 1, got {samples_per_point}")
     data = np.asarray(data, dtype=np.float64)
     curve = []
     for i, ab in enumerate(grid):

@@ -11,7 +11,7 @@ formulas: forward adds each layer's bias and applies its ReLU in place on
 the fresh matmul output, the sigmoid uses no boolean masks, backward
 copies the caller's grad_out once and applies each ReLU slope in place on
 its own gradient (never on the cached activations), and Adam keeps each
-moment in one flat buffer that a single sequence of in-place ufuncs
+moment in a flat buffer, m and v, that one sequence of in-place ufuncs
 updates. Network.forward is for training and finite_diff_check: it runs
 in float64, checks its input and output and caches activations for
 backward. Network.apply is for inference (the models' predict): the same
@@ -228,44 +228,25 @@ ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
 
-def _flat_views(arrays) -> tuple[np.ndarray, list[np.ndarray]]:
-    """One float64 buffer holding the arrays end to end, and a view per array."""
-    arrays = [_as_f64(a) for a in arrays]
-    flat = np.concatenate([a.ravel() for a in arrays])
-    views, start = [], 0
-    for a in arrays:
-        views.append(flat[start:start + a.size].reshape(a.shape))
-        start += a.size
-    return flat, views
-
-
 @dataclass
 class AdamState:
-    """Adam moment buffers, congruent to a Network's parameter list.
+    """Adam's moments m and v, each one flat float64 buffer holding every
+    parameter end to end in Network.parameters() order; a given float64
+    buffer is updated in place, other input is copied to float64."""
 
-    Each moment is one flat buffer; first_moment and second_moment are
-    per-parameter views of it, so adam_step updates all of them at once.
-    """
-
-    first_moment: list[np.ndarray]
-    second_moment: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step_count: int = 0
     learning_rate: float = 1e-3
-    _m: np.ndarray = field(init=False, repr=False, compare=False)
-    _v: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._m, self.first_moment = _flat_views(self.first_moment)
-        self._v, self.second_moment = _flat_views(self.second_moment)
+        self.m = _as_f64(self.m).ravel()
+        self.v = _as_f64(self.v).ravel()
 
     @classmethod
     def for_network(cls, net: Network, learning_rate: float = 1e-3) -> "AdamState":
-        params = net.parameters()
-        return cls(
-            first_moment=[np.zeros_like(p) for p in params],
-            second_moment=[np.zeros_like(p) for p in params],
-            learning_rate=learning_rate,
-        )
+        size = sum(p.size for p in net.parameters())
+        return cls(np.zeros(size), np.zeros(size), learning_rate=learning_rate)
 
 
 def adam_step(net: Network, grads: list[tuple[np.ndarray, np.ndarray]], state: AdamState) -> None:
@@ -284,15 +265,15 @@ def adam_step(net: Network, grads: list[tuple[np.ndarray, np.ndarray]], state: A
         if g.shape != p.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
     g = np.concatenate([_as_f64(x).ravel() for x in flat])
-    if state._m.size != g.size or state._v.size != g.size:
-        raise ShapeError(f"Adam state holds {state._m.size} entries, parameters {g.size}")
+    if state.m.size != g.size or state.v.size != g.size:
+        raise ShapeError(f"Adam state holds {state.m.size} entries, parameters {g.size}")
     if not np.all(np.isfinite(g)):
         raise ValueError("non-finite gradient entry; parameters left untouched")
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    m, v = state._m, state._v
+    m, v = state.m, state.v
     m *= ADAM_BETA1
     v *= ADAM_BETA2
     tmp = (1.0 - ADAM_BETA2) * g

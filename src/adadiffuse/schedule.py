@@ -236,6 +236,9 @@ def _indices_for_levels(ab: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 
 def index_for_level(alpha_bar_hat: float, schedule: NoiseSchedule) -> int:
     """Interval index t >= 1 of schedule with sqrt(alpha_bar_hat) in
-    [l_t, l_{t-1}]; out-of-range levels clamp to the first/last interval."""
+    [l_t, l_{t-1}]; levels above 1 or below l_N clamp to the first/last
+    interval, and a NaN or negative level is rejected."""
+    if not alpha_bar_hat >= 0.0:
+        raise ScheduleError(f"alpha_bar {alpha_bar_hat} is NaN or negative")
     level = np.array([alpha_bar_hat], dtype=np.float64)
     return int(_indices_for_levels(level, schedule.boundaries)[0])

@@ -71,6 +71,7 @@ def test_discrete_mode_survives_round_trip(tmp_path):
     models, sched = load_checkpoint(path)
     assert models["denoiser"].conditioning_mode == "discrete_index"
     assert sched is None
+    assert read_tensors(path)["denoiser/meta"][1] == 1.0  # the stored code
 
 
 def test_bad_magic_rejected(tmp_path):

@@ -180,6 +180,8 @@ def test_curve_rejects_empty_or_out_of_range_grid():
         eval_estimator_curve(est, data, [], 16)
     with pytest.raises(ValueError):
         eval_estimator_curve(est, data, [0.0, 0.5], 16)
+    with pytest.raises(ValueError):
+        eval_estimator_curve(est, data, [0.5], samples_per_point=0)
 
 
 def test_curve_deterministic_and_sized():

@@ -127,7 +127,7 @@ def test_adam_rejects_non_finite_gradients():
     for _ in range(2):
         adam_step(net, good, state)  # moments away from zero
     before = [p.copy() for p in net.parameters()]
-    moments = [m.copy() for m in state.first_moment + state.second_moment]
+    m_before, v_before = state.m.copy(), state.v.copy()
     for bad_value in (np.nan, np.inf):
         bad = [(gw.copy(), gb.copy()) for gw, gb in good]
         bad[-1][1][-1] = bad_value  # the last entry of the last gradient
@@ -135,8 +135,8 @@ def test_adam_rejects_non_finite_gradients():
             adam_step(net, bad, state)
     for b, p in zip(before, net.parameters()):
         assert np.array_equal(b, p)
-    for b, m in zip(moments, state.first_moment + state.second_moment):
-        assert np.array_equal(b, m)
+    assert np.array_equal(m_before, state.m)
+    assert np.array_equal(v_before, state.v)
     assert state.step_count == 2
 
 
@@ -152,15 +152,14 @@ def test_adam_rejects_a_state_of_another_network():
     assert state.step_count == 0
 
 
-def test_adam_state_built_from_separate_arrays_updates_them_all():
-    # the constructor copies given moments into its flat buffers, and the
-    # lists it exposes follow every update
+def test_adam_state_built_from_given_moments_updates_them():
+    # a state built from given flat moments follows the per-array reference
     net_a = init_network([3, 4, 2], ["relu", "identity"], seed=4)
     net_b = init_network([3, 4, 2], ["relu", "identity"], seed=4)
     rng = np.random.default_rng(3)
     m0 = [rng.standard_normal(p.shape) for p in net_a.parameters()]
     v0 = [rng.random(p.shape) for p in net_a.parameters()]
-    state = AdamState([m.copy() for m in m0], [v.copy() for v in v0], learning_rate=0.01)
+    state = AdamState(_flat(m0), _flat(v0), learning_rate=0.01)
     ref_params = [p.copy() for p in net_b.parameters()]
     ref_m, ref_v = [m.copy() for m in m0], [v.copy() for v in v0]
     for t in range(1, 4):
@@ -169,9 +168,10 @@ def test_adam_state_built_from_separate_arrays_updates_them_all():
         adam_step(net_a, grads, state)
         _ref_adam(ref_params, [g for pair in grads for g in pair], ref_m, ref_v, t, 0.01)
     assert state.step_count == 3
-    for got, ref in zip(net_a.parameters() + state.first_moment + state.second_moment,
-                        ref_params + ref_m + ref_v):
+    for got, ref in zip(net_a.parameters(), ref_params):
         np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(state.m, _flat(ref_m))
+    np.testing.assert_array_equal(state.v, _flat(ref_v))
 
 
 def test_finite_diff_identity_net_tight():
@@ -276,6 +276,11 @@ def _ref_forward_backward(layers, x, g):
     return (a[0] if single else a), grads
 
 
+def _flat(arrays):
+    """The arrays end to end, as Adam's state holds its moments."""
+    return np.concatenate([a.ravel() for a in arrays])
+
+
 def _ref_adam(params, flat_grads, ms, vs, t, lr):
     bc1 = 1.0 - 0.9**t
     bc2 = 1.0 - 0.999**t
@@ -326,9 +331,10 @@ def test_kernel_matches_plain_formulas_bit_for_bit(dims, acts, batch):
             np.testing.assert_array_equal(gb, rb)
         adam_step(net, grads, state)
         _ref_adam(ref_params, [a for pair in ref_grads for a in pair], ref_m, ref_v, t, 0.05)
-        for got, ref in zip(net.parameters() + state.first_moment + state.second_moment,
-                            ref_params + ref_m + ref_v):
+        for got, ref in zip(net.parameters(), ref_params):
             np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(state.m, _flat(ref_m))
+        np.testing.assert_array_equal(state.v, _flat(ref_v))
     if "sigmoid" in acts:
         z = SIGMOID_EXTREMES.reshape(-1, 1) if batch else SIGMOID_EXTREMES
         got = _activate("sigmoid", z.copy())

@@ -177,6 +177,12 @@ def test_index_for_level_trivial_cases():
     assert index_for_level(0.49, sched) == 2  # sqrt(0.49) = 0.7 in [0.5, 0.9]
     assert index_for_level(0.999999, sched) == 1
     assert index_for_level(0.01, sched) == 2  # below l_N clamps to N
+    assert index_for_level(0.0, sched) == 2
+    assert index_for_level(1.5, sched) == 1  # above 1 clamps to 1
+    assert index_for_level(math.inf, sched) == 1
+    for bad in (math.nan, -0.5, -math.inf):
+        with pytest.raises(ScheduleError):
+            index_for_level(bad, sched)
 
 
 def test_index_for_level_matches_linear_scan():
