@@ -6,6 +6,28 @@ distances holds at most about 2**15 float64 (256 KB), and no (n, m, dim)
 difference tensor is ever built. The reference set's self-term E|Y-Y'| is
 kept for the last reference seen, so repeated calls against one held-out
 set compute it once.
+
+Each block of squared distances is one matmul of augmented, centred
+coordinates. Both sets are shifted by the second set's mean, so the squared
+norms measure the sets' spread rather than their distance from the origin.
+Left rows [-2a_i, |a_i|^2, 1] times right columns [b_j, 1, |b_j|^2] then
+give |a_i - b_j|^2, rounded to within about (dim+2) * 2**-52 of the squared
+norms, so an entry near 0 can come out as noise or negative. Entries below
+_TAU * (max|a|^2 + max|b|^2), _TAU = 1e-8, are recomputed from the exact
+differences of the inputs; these are near-duplicate pairs, looked for only
+when the block minimum falls below the cut. A self term's diagonal is set
+to exactly 0. _TAU sits about 7e5 times above the rounding error at dim 64
+and 1e7 times at dim 2, so every kept entry is positive and good to about
+six digits even at the cut; entries that near the cut are distances under
+1e-4 of the sets' spread and barely weigh in the mean. Contract: each
+pairwise mean agrees with the broadcast (n, m, dim) formula to 1e-12
+relative, tested on 1- to 64-dim sets, sets shifted by 1e6 and clustered
+sets with exact duplicates and pairs about 1e-9 apart.
+
+Against the per-coordinate np.subtract.outer kernel it replaced (2 vCPU,
+OPENBLAS_NUM_THREADS=1), one energy_distance(512x2, 2048x2) call with the
+reference term cached took 3.6-4.4 ms instead of 6.4-8.4 ms, and
+perfbench's few_step body (run_benchmark at N=6) 0.27 s instead of 0.35 s.
 """
 from __future__ import annotations
 
@@ -18,26 +40,46 @@ from .nn import check_finite
 
 MAX_PAIRS = 1_000_000
 _BLOCK_ELEMS = 1 << 15
+# Gram entries below _TAU * (max|a|^2 + max|b|^2) are recomputed exactly
+_TAU = 1e-8
 
 # (strided reference copy, its E|Y-Y'|), replaced on every miss
 _self_term_memo: tuple[np.ndarray, float] | None = None
 
 
 def _pairwise_mean(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean Euclidean distance over all (row of a, row of b) pairs."""
+    """Mean Euclidean distance over all (row of a, row of b) pairs.
+
+    Pass the same array twice for a self term: its diagonal is then exactly 0.
+    """
     n, m = a.shape[0], b.shape[0]
+    same = a is b
+    shift = b.mean(axis=0)
+    ca = a - shift
+    cb = ca if same else b - shift
+    a_sq = (ca * ca).sum(axis=1)
+    b_sq = a_sq if same else (cb * cb).sum(axis=1)
+    # left row i times right column j is |a_i|^2 - 2 a_i.b_j + |b_j|^2
+    left = np.column_stack([-2.0 * ca, a_sq, np.ones(n)])
+    right = np.vstack([cb.T, np.ones(m), b_sq])
+    cut = _TAU * (a_sq.max() + b_sq.max())
     rows = max(1, _BLOCK_ELEMS // m)
+    buf = np.empty((min(rows, n), m))
     total = 0.0
     for start in range(0, n, rows):
-        block = a[start:start + rows]
-        acc = np.subtract.outer(block[:, 0], b[:, 0])
-        acc *= acc
-        for k in range(1, a.shape[1]):
-            d = np.subtract.outer(block[:, k], b[:, k])
-            d *= d
-            acc += d
-        np.sqrt(acc, out=acc)
-        total += float(acc.sum())
+        block = left[start:start + rows]
+        d2 = np.matmul(block, right, out=buf[:block.shape[0]])
+        if same:
+            diag = np.arange(d2.shape[0])
+            d2[diag, start + diag] = cut  # kept out of the recompute, zeroed below
+        if d2.min() < cut:
+            i, j = np.nonzero(d2 < cut)
+            diff = a[start + i] - b[j]
+            d2[i, j] = (diff * diff).sum(axis=1)
+        if same:
+            d2[diag, start + diag] = 0.0
+        np.sqrt(d2, out=d2)
+        total += float(d2.sum())
     return total / (n * m)
 
 
@@ -75,9 +117,14 @@ def energy_distance(samples_a: np.ndarray, samples_b: np.ndarray) -> float:
     Point sets are deterministically strided down when the pair count
     would exceed 1e6. Pairwise sums run in row blocks of at most about
     2**15 distances, and E|Y-Y'| of the strided second set is reused from
-    the previous call when that set is equal to the one seen then.
+    the previous call when that set is equal to the one seen then. A NaN
+    or infinite coordinate raises ValueError naming the set and its row.
     """
     a, b = _as_points(samples_a), _as_points(samples_b)
+    for which, x in (("first", a), ("second", b)):
+        bad = ~np.isfinite(x).all(axis=1)
+        if bad.any():
+            raise ValueError(f"{which} sample set has a non-finite point at row {int(bad.argmax())}")
     if a.size == 0 or b.size == 0:
         raise ValueError("energy distance needs non-empty sample sets")
     if a.shape[1] != b.shape[1]:

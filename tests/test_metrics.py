@@ -45,6 +45,17 @@ def test_energy_distance_rejects_mismatch_and_empty():
         energy_distance(np.zeros((0, 2)), np.zeros((3, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", ["first", "second"])
+def test_energy_distance_rejects_non_finite_points(bad, which):
+    good, poisoned = np.zeros((4, 2)), np.zeros((5, 2))
+    poisoned[3, 1] = bad
+    poisoned[4, 0] = bad
+    args = (poisoned, good) if which == "first" else (good, poisoned)
+    with pytest.raises(ValueError, match=f"{which} sample set .* row 3"):
+        energy_distance(*args)
+
+
 def test_energy_distance_subsampling_stays_consistent():
     # above the 1e6-pair budget the strided estimate must stay close to the
     # full-pair value computed on a smaller equivalent problem
@@ -72,14 +83,39 @@ def _broadcast_energy_distance(a, b):
             - _broadcast_pairwise_mean(a, a) - _broadcast_pairwise_mean(b, b))
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 4])
-def test_blocked_kernel_matches_broadcast_oracle_around_block_boundaries(dim):
+def _clustered(rng, n, centres):
+    """Points on a few centres: exact duplicates and pairs 1e-9 apart."""
+    jitter = rng.integers(0, 2, size=(n, 1)) * 1e-9
+    return centres[rng.integers(0, centres.shape[0], size=n)] + jitter
+
+
+@pytest.mark.parametrize("dim, m, regime", [
+    pytest.param(1, 2048, "plain", id="1"),
+    pytest.param(2, 2048, "plain", id="2"),
+    pytest.param(3, 2048, "plain", id="3"),
+    pytest.param(4, 2048, "plain", id="4"),
+    # the sinusoid's size; m is smaller so the (m, m, 64) oracle stays small
+    pytest.param(64, 256, "plain", id="64"),
+    # squared norms 1e12 above the squared distances
+    pytest.param(2, 2048, "shifted", id="2-shifted-1e6"),
+    # near-duplicate pairs take the exact-recompute branch
+    pytest.param(2, 2048, "clustered", id="2-clustered"),
+])
+def test_blocked_kernel_matches_broadcast_oracle_around_block_boundaries(dim, m, regime):
     rng = np.random.default_rng(dim)
-    m = 2048
     rows = metrics._BLOCK_ELEMS // m
-    b = rng.standard_normal((m, dim))
+    offset = 1e6 if regime == "shifted" else 0.0
+    if regime == "clustered":
+        centres = rng.standard_normal((64, dim))
+        b = _clustered(rng, m, centres)
+        assert abs(energy_distance(b, b.copy())) <= 1e-12
+    else:
+        b = rng.standard_normal((m, dim)) + offset
     for n in (rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows, 2 * rows + 1):
-        a = rng.standard_normal((n, dim)) + 0.3
+        if regime == "clustered":
+            a = _clustered(rng, n, centres)
+        else:
+            a = rng.standard_normal((n, dim)) + 0.3 + offset
         got = metrics._pairwise_mean(a, b)
         assert got == pytest.approx(_broadcast_pairwise_mean(a, b), rel=1e-12, abs=0)
         ed = energy_distance(a, b)
