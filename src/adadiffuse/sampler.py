@@ -16,8 +16,9 @@ One vectorized engine evolves a batch of independent chains; the public
 single-chain operations are batch-1 wrappers over it. Its state is the
 schedule in force as k -> alpha_bar_k and k -> beta_k: the start
 schedule's table (the family's ScheduleFamily.fixed), shared by all
-chains, or the last re-solve's closed form, one coefficient pair per
-chain, so steps and re-solves are O(batch). Both networks run through
+chains, or the last re-solve's closed form, four coefficients per chain
+(each chain's Fibonacci recurrence or linear form), so steps and
+re-solves are O(batch). Both networks run through
 the models' predict (Network.apply: float32 layers, no activation cache,
 no checks); the engine's own arithmetic stays float64. It checks the
 estimate and the state once per step, so a non-finite value, including a

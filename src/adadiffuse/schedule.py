@@ -12,12 +12,15 @@ reconstruct a schedule for a given remaining step count from a target
 cumulative retention: an arithmetic progression and a Fibonacci
 recurrence with golden-ratio closed form. Both are read in log space,
 gamma = -log(1 - beta), so gammas that sum to -log(alpha_bar_hat) meet
-prod(1 - beta) = alpha_bar_hat exactly; the target is first projected so
-that every gamma fits the beta bounds and none is clipped.
+prod(1 - beta) = alpha_bar_hat exactly. A re-solve in the Fibonacci
+family takes the recurrence where every gamma fits the beta bounds and
+the linear form where only that one fits; a target that no form fits is
+first projected, so that no gamma is clipped.
 
 Each formula has one vectorized implementation that the sampler runs
-per chain: _solve_batch (both closed forms, one coefficient pair per
-chain), _project (the target projection) and _indices_for_levels (the
+per chain: _ClosedForm (one expression for both forms, four coefficients
+per chain), _solve_batch (each form's coefficients), _project (the
+target projection and the choice of form) and _indices_for_levels (the
 level-to-interval lookup). solve_linear, solve_fibonacci,
 update_noise_schedule and index_for_level are their batch-1 views.
 """
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +44,7 @@ GAMMA_CEIL = -math.log1p(-BETA_CEIL)
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 PHI_CONJ = (1.0 - math.sqrt(5.0)) / 2.0
 FIB_REACH = 34  # the longest Fibonacci schedule that fits the beta bounds (beta0 = 1e-6)
+_PHI_POW_MAX = 1473  # the largest k with PHI**k and its geometric sum finite in float64
 
 FAMILIES = ("linear", "fibonacci")
 
@@ -115,29 +120,32 @@ def _geo(r: float, k):  # 1 + r + ... + r**(k-1)
     return (np.power(r, k) - 1.0) / (r - 1.0)
 
 
-@dataclass(frozen=True)
-class _ClosedForm:
-    """gamma_i = c + d*i (linear) or c*PHI**i + d*PHI_CONJ**i (fibonacci), one
-    (c, d) per chain. Step k reads beta_k = -expm1(-gamma_{k-1}) and
-    alpha_bar_k = exp(-sum_{i<k} gamma_i), each sum in closed form."""
+class _ClosedForm(NamedTuple):
+    """gamma_i = c + d*i + e*PHI**i + f*PHI_CONJ**i, one (c, d, e, f) per
+    chain: the linear form has e = f = 0, the Fibonacci form c = d = 0. Step
+    k reads beta_k = -expm1(-gamma_{k-1}) and alpha_bar_k =
+    exp(-sum_{i<k} gamma_i), each sum in closed form. PHI's powers stop at
+    _PHI_POW_MAX, so a zero e stays zero at any step count."""
 
-    kind: str
     c: np.ndarray | float
     d: np.ndarray | float
+    e: np.ndarray | float = 0.0
+    f: np.ndarray | float = 0.0
 
+    # the d term comes last: a linear form's other terms are scalars, so its
+    # per-step reads cost the array operations of c + d*i alone
     def gamma(self, i):
-        if self.kind == "linear":
-            return self.c + self.d * i
-        return self.c * np.power(PHI, i) + self.d * np.power(PHI_CONJ, i)
+        phi_i = np.power(PHI, np.minimum(i, _PHI_POW_MAX))
+        return self.c + self.e * phi_i + self.f * np.power(PHI_CONJ, i) + self.d * i
 
     def beta(self, k):
         # the clip moves a rounding error only, or a beta0 below GAMMA_FLOOR
         return np.clip(-np.expm1(-self.gamma(k - 1)), BETA_FLOOR, BETA_CEIL)
 
     def alpha_bar(self, k):
-        if self.kind == "linear":
-            return np.exp(-(self.c * k + self.d * (k * (k - 1) / 2)))
-        return np.exp(-(self.c * _geo(PHI, k) + self.d * _geo(PHI_CONJ, k)))
+        phi_sum = self.e * _geo(PHI, np.minimum(k, _PHI_POW_MAX))
+        return np.exp(-(self.c * k + phi_sum + self.f * _geo(PHI_CONJ, k)
+                        + self.d * (k * (k - 1) / 2)))
 
 
 def _solve_batch(target: np.ndarray, n: int, kind: str, beta0: float) -> _ClosedForm:
@@ -145,36 +153,45 @@ def _solve_batch(target: np.ndarray, n: int, kind: str, beta0: float) -> _Closed
     one per entry: gamma_0 = target at n = 1, else gamma_0 = beta0 and an
     arithmetic progression (linear; fibonacci at n = 2) or the recurrence."""
     if n == 1:
-        return _ClosedForm("linear", target, 0.0)
+        return _ClosedForm(target, 0.0)
     if kind == "linear" or n == 2:
-        return _ClosedForm("linear", beta0, 2.0 * (target - n * beta0) / (n * (n - 1)))
+        return _ClosedForm(beta0, 2.0 * (target - n * beta0) / (n * (n - 1)))
     g, g_conj = _geo(PHI, n), _geo(PHI_CONJ, n)
     a = (target - beta0 * g_conj) / (g - g_conj)
-    return _ClosedForm("fibonacci", a, beta0 - a)
+    return _ClosedForm(0.0, 0.0, a, beta0 - a)
 
 
 def _project(ab_hat: np.ndarray, n: int, kind: str, beta0: float) -> tuple[_ClosedForm, int]:
-    """The remaining n-step closed forms for a batch of targets, each first
-    projected into the interval of T = -log(alpha_bar_hat) where every gamma
-    lies in [GAMMA_FLOOR, GAMMA_CEIL]; also returns how many targets moved.
+    """The remaining n-step closed forms for a batch of targets, and how many
+    targets no form of the family meets. Each form has an interval of
+    T = -log(alpha_bar_hat) where every gamma lies in [GAMMA_FLOOR,
+    GAMMA_CEIL]; a target outside the union of the family's intervals is
+    projected into it, and then each chain takes the Fibonacci recurrence
+    if its T lies in that form's interval, else the linear form.
 
     Each gamma_i is affine in T. Linear gammas run from beta0 to gamma_{n-1},
     which sets both ends; Fibonacci gammas grow along i, so gamma_1 sets the
-    floor end. Past some n (FIB_REACH at beta0 = 1e-6, 17 at 1e-2) no
-    Fibonacci schedule fits, and the linear form is used instead.
+    floor end. The Fibonacci interval is empty past some n (FIB_REACH at
+    beta0 = 1e-6, 17 at 1e-2), and where it is not it overlaps the linear
+    one, so the union is one interval.
     """
     def ends(kind, floor_row):  # T at gamma_floor_row = GAMMA_FLOOR, gamma_{n-1} = GAMMA_CEIL
         rows = np.array([[floor_row], [n - 1]])
         g = _solve_batch(np.array([0.0, 1.0]), n, kind, beta0).gamma(rows)
         return (np.array([GAMMA_FLOOR, GAMMA_CEIL]) - g[:, 0]) / (g[:, 1] - g[:, 0])
 
-    lo, hi = ends(kind, 1) if kind == "fibonacci" and 2 < n <= FIB_REACH else (np.inf, -np.inf)
-    if lo > hi:  # no Fibonacci interval, or none asked for: the linear form
-        kind = "linear"
-        lo, hi = ends(kind, n - 1)
+    lo, hi = ends("linear", n - 1)
+    f_lo, f_hi = ends(kind, 1) if kind == "fibonacci" and 2 < n <= FIB_REACH else (np.inf, -np.inf)
+    if f_lo <= f_hi:
+        lo, hi = min(lo, f_lo), max(hi, f_hi)
     target = -np.log(ab_hat)
     moved = np.count_nonzero(target < lo) + np.count_nonzero(target > hi)
-    return _solve_batch(np.clip(target, lo, hi), n, kind, beta0), int(moved)
+    target = np.clip(target, lo, hi)
+    form = _solve_batch(target, n, "linear", beta0)
+    if f_lo <= f_hi:  # the recurrence for each chain in the Fibonacci interval
+        fib = (f_lo <= target) & (target <= f_hi)
+        form = _ClosedForm(*map(np.where, [fib] * 4, _solve_batch(target, n, kind, beta0), form))
+    return form, int(moved)
 
 
 def _check_target(alpha_bar_hat: float, n: int) -> None:
@@ -217,8 +234,9 @@ def solve_fibonacci(alpha_bar_hat: float, n: int, beta0: float, clamp: bool = Tr
 def update_noise_schedule(alpha_bar_hat: float, n: int, family: ScheduleFamily) -> NoiseSchedule:
     """Re-derive the remaining n-step schedule from an estimated alpha-bar.
 
-    The target is projected (clamped = 1 if it moved) and met to rounding;
-    the rows have the bits the sampler's re-solve gives each chain.
+    The target is met to rounding by the family's Fibonacci recurrence or
+    linear form, or projected first if no form meets it (clamped = 1); the
+    rows have the bits the sampler's re-solve gives each chain.
     """
     _check_target(alpha_bar_hat, n)
     form, moved = _project(np.array([alpha_bar_hat]), n, family.kind, family.beta0)

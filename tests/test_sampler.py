@@ -419,9 +419,17 @@ def test_trace_rebuilds_chain_0_schedule(small_models, kind):
                                    [sched.betas[nxt.n - 1], sched.alpha_bar(nxt.n)], rtol=1e-12)
 
 
+def _recurs(sched):
+    """True if the schedule's gammas follow the Fibonacci recurrence."""
+    g = -np.log1p(-sched.betas)
+    return bool(np.all(np.abs(g[2:] - g[1:-1] - g[:-2]) <= 1e-9 * g.max() + 1e-12))
+
+
 def _replay_batch(den, est, cfg, seed, batch):
     """A batched run's chains, each re-run with the public update, estimator
-    and re-solve; the networks see the whole batch, as in the engine."""
+    and re-solve; the networks see the whole batch, as in the engine. Also
+    counts the re-solves that give some chains the Fibonacci recurrence and
+    others the linear form."""
     def update(y, eps_hat, n, sched, z):
         if cfg.update_rule == "ddpm":
             return ddpm_update(y, eps_hat, n, sched, z)
@@ -430,7 +438,7 @@ def _replay_batch(den, est, cfg, seed, batch):
     rng = np.random.default_rng(seed)
     y = rng.standard_normal((batch, 2))
     scheds = [initial_noise_schedule(cfg)] * batch
-    steps, clamps = [], 0
+    steps, clamps, mixed = [], 0, 0
     for n in range(cfg.steps, 0, -1):
         eps_hat = den.predict(y, np.array([np.sqrt(s.alpha_bar(n)) for s in scheds]))
         z = rng.standard_normal((batch, 2))
@@ -445,16 +453,20 @@ def _replay_batch(den, est, cfg, seed, batch):
             scheds = [update_noise_schedule(max(float(a), s.alpha_bar(n - 1)), n - 1, cfg.family)
                       for a, s in zip(ab_hat, scheds)]
             clamps += sum(s.clamped for s in scheds)
-    return y, steps, clamps
+            mixed += n > 3 and len({_recurs(s) for s in scheds}) == 2
+    return y, steps, clamps, mixed
 
 
 @pytest.mark.parametrize("kind,beta0,steps", [
     ("linear", 1e-4, 400),
-    # the start schedule underflows from N = 128; re-solves longer than 26
-    # steps fall back to the linear form
+    # the start schedule underflows from N = 128; a re-solve longer than 26
+    # steps has no Fibonacci interval and gives every chain the linear form
     ("fibonacci", 1e-4, 40),
+    # every re-solve is within that reach: a chain takes the recurrence if
+    # its target lies in the Fibonacci interval, else the linear form
+    ("fibonacci", 1e-4, 27),
     ("linear", 1e-2, 300),  # many targets lie below the floor end and are projected
-], ids=["linear", "fibonacci", "linear-clamp-heavy"])
+], ids=["linear", "fibonacci", "fibonacci-mixed", "linear-clamp-heavy"])
 @pytest.mark.parametrize("sparse", [False, True], ids=["all", "sparse"])
 @pytest.mark.parametrize("rule,eta", [("ddpm", 0.0), ("ddim", 0.7)])
 def test_batched_re_solves_match_per_chain_public_replay(
@@ -466,10 +478,12 @@ def test_batched_re_solves_match_per_chain_public_replay(
     cfg = _cfg(steps=steps, adjustment_set=frozenset(adjust),
                family=ScheduleFamily(kind, beta0), update_rule=rule, eta=eta)
     run = sample_batch(den, cfg, np.random.default_rng(5), 12, estimator=est, adaptive=True)
-    y0, steps_replayed, clamps = _replay_batch(den, est, cfg, 5, 12)
+    y0, steps_replayed, clamps, mixed = _replay_batch(den, est, cfg, 5, 12)
     np.testing.assert_array_equal(run.y0, y0)
     assert [(r.n, r.alpha_hat, r.beta, r.alpha_bar) for r in run.steps] == steps_replayed
     assert run.clamp_events == clamps
+    if kind == "fibonacci" and steps == 27:
+        assert mixed > 0  # one batch holds both forms
     if beta0 == 1e-2 and not sparse:
         assert clamps > 0.1 * 12 * (steps - 1)  # of the targets, one per chain and re-solve
 

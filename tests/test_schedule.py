@@ -24,7 +24,7 @@ from adadiffuse.schedule import (
 SOLVER_GRID = [
     (ab, n, b0)
     for ab in (0.9, 0.5, 0.1)
-    for n in (3, 6, 10, 25)
+    for n in (3, 6, 10, 25, 35, 40, 100, 1000)  # past FIB_REACH the raw forms still hold
     for b0 in (1e-6, 1e-4, 1e-3)
 ]
 
@@ -239,29 +239,47 @@ def test_update_noise_schedule_always_valid(ab, n, b0, kind):
     np.testing.assert_allclose(sched.boundaries[1:] ** 2, sched.alpha_bars, atol=1e-12)
 
 
-def _feasible_targets(kind, m, beta0):
+def _feasible_targets(solve, m, beta0):
     """[lo, hi] of T = -log(alpha_bar) over which every gamma_i, i >= 1, of
     the raw closed form lies in [GAMMA_FLOOR, GAMMA_CEIL] (gamma_0 = T at m = 1,
-    else beta0); each gamma_i is affine in T, so two solves give its line."""
-    solve = solve_linear if kind == "linear" else solve_fibonacci
+    else beta0), empty if lo > hi; each gamma_i is affine in T, so two solves
+    give its line."""
     g1, g2 = (solve(math.exp(-t), m, beta0, clamp=False) for t in (1.0, 2.0))
     rows = range(1, m) if m > 1 else range(1)
     lo = max(1.0 + (GAMMA_FLOOR - g1[i]) / (g2[i] - g1[i]) for i in rows)
     hi = min(1.0 + (GAMMA_CEIL - g1[i]) / (g2[i] - g1[i]) for i in rows)
-    return (lo, hi) if lo <= hi else _feasible_targets("linear", m, beta0)
+    return lo, hi
 
 
-@pytest.mark.parametrize("kind,m", [
-    *[("linear", m) for m in (1, 2, 3, 7, 999)],
-    *[("fibonacci", m) for m in (1, 2, 3, 7)],
-    ("fibonacci", 40),  # no Fibonacci schedule this long fits: the linear form
+@pytest.mark.parametrize("beta0,kind,m", [
+    # beta0 at or above GAMMA_FLOOR, so gamma_0 fits too
+    *[(beta0, kind, m) for beta0 in (1e-4, 1e-2) for kind, m in [
+        *[("linear", m) for m in (1, 2, 3, 7, 999, 2000)],
+        *[("fibonacci", m) for m in (1, 2, 3, 7, 16, 17, 25)],
+        ("fibonacci", 40),  # no Fibonacci schedule this long fits: the linear form
+    ]],
+    # near its reach the Fibonacci interval is narrow; a target in the linear
+    # one is not projected
+    *[(1e-6, "fibonacci", m) for m in (30, 33, 34)],
 ])
-@pytest.mark.parametrize("beta0", [1e-4, 1e-2])  # at or above GAMMA_FLOOR, so gamma_0 fits too
-def test_update_noise_schedule_projects_targets_onto_the_feasible_interval(kind, m, beta0):
+def test_update_noise_schedule_projects_targets_onto_the_feasible_interval(beta0, kind, m):
     # linear m = 3, beta0 = 1e-4 at the floor end solves to beta_3 =
     # 9.99999999999987e-07 before the rounding clip
-    lo, hi = _feasible_targets(kind, m, beta0)
-    targets = [lo, lo / 2, hi, 2 * hi]
+    lo, hi = _feasible_targets(solve_linear, m, beta0)
+    # T = 12 lies past the linear interval's end at m = 3 (10.36) but inside
+    # the Fibonacci one's (13.8)
+    targets = [lo, lo / 2, hi, 2 * hi, -math.log(0.3), 12.0]
+    fib_lo, fib_hi = math.inf, -math.inf
+    if kind == "fibonacci":
+        fib_lo, fib_hi = _feasible_targets(solve_fibonacci, m, beta0)
+    if fib_lo <= fib_hi:  # the two intervals overlap; a target in their union is met
+        assert fib_lo <= hi and lo <= fib_hi
+        targets += [fib_lo, fib_lo / 2, fib_hi, 2 * fib_hi]
+        lo, hi = min(lo, fib_lo), max(hi, fib_hi)
+    if beta0 < GAMMA_FLOOR:
+        # the solver's linear floor end reads gamma_{m-1} only and lies below
+        # lo, where gamma_1 is at the floor (README, Noise schedules)
+        targets = [t for t in targets if t >= lo]
     for t in (t for t in targets if t < 700):  # exp(-t) must be a positive double
         sched = update_noise_schedule(math.exp(-t), m, ScheduleFamily(kind, beta0))
         assert len(sched) == m
@@ -272,3 +290,10 @@ def test_update_noise_schedule_projects_targets_onto_the_feasible_interval(kind,
         assert sched.alpha_bars[-1] == pytest.approx(math.exp(-projected), rel=1e-12)
         if not lo * (1 - 1e-9) <= t <= hi * (1 + 1e-9):
             assert sched.clamped == 1
+        elif lo * (1 + 1e-9) < t < hi * (1 - 1e-9):
+            assert sched.clamped == 0
+        # the recurrence in the Fibonacci interval, the linear form elsewhere
+        if m >= 3 and not any(math.isclose(projected, e, rel_tol=1e-9) for e in (fib_lo, fib_hi)):
+            g = -np.log1p(-sched.betas)
+            residual = g[2:] - g[1:-1] - g[:-2] if fib_lo < projected < fib_hi else np.diff(g, 2)
+            assert np.max(np.abs(residual)) <= 1e-9 * g.max() + 1e-12
