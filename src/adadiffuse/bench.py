@@ -6,18 +6,14 @@ hashing). The adaptive run re-solves at the steps of sampler.adjust, read
 at each N as _adjustment_for states. Energy distances are measured
 against a held-out data batch.
 Outputs: metrics.json, curve.csv, bench.csv and a trace.jsonl per run
-(one StepRecord per line), all re-parseable by this module. The
-ADADIFFUSE_THREADS environment variable caps the worker count for
-fanning runs out across processes.
+(one StepRecord per line), all re-parseable by this module. The pairs
+run one after another in the calling process.
 """
 from __future__ import annotations
 
 import csv
 import hashlib
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -171,15 +167,6 @@ def read_metrics_json(path) -> MetricsRecord:
             raise TraceError(f"{path}: not a metrics record: {exc!r}") from None
 
 
-def worker_count(n_tasks: int) -> int:
-    env = os.environ.get("ADADIFFUSE_THREADS")
-    try:
-        cap = max(1, int(env)) if env else 1
-    except ValueError:
-        raise ConfigError(f"ADADIFFUSE_THREADS must be an integer, got {env!r}") from None
-    return max(1, min(cap, n_tasks))
-
-
 def _adjustment_for(sampler: SamplerConfig, steps: int) -> frozenset[int]:
     """The adjustment set of the benchmark's runs at N = steps.
 
@@ -197,11 +184,10 @@ def _adjustment_for(sampler: SamplerConfig, steps: int) -> frozenset[int]:
     return adjust
 
 
-def _run_pair(args) -> tuple[list[BenchRow], dict[str, SamplingRun]]:
-    denoiser, estimator, cfg, scfg, seed, reference = args
+def _run_pair(denoiser: Denoiser, estimator: Estimator, scfg: SamplerConfig, seed: int,
+              batch: int, bounds: np.ndarray, reference: np.ndarray,
+              ) -> tuple[list[BenchRow], dict[str, SamplingRun]]:
     steps = scfg.steps
-    bounds = training_schedule(cfg.train.stage_count).boundaries
-    batch = cfg.bench.samples_per_run
     rows, runs = [], {}
     for method in METHODS:
         rng = np.random.default_rng([scfg.seed, steps, seed])
@@ -237,14 +223,13 @@ def run_benchmark(cfg: RunConfig, denoiser: Denoiser, estimator: Estimator,
         estimator, generate(cfg.dataset), cfg.eval_grid, cfg.eval_samples_per_point
     )
 
-    tasks = [(denoiser, estimator, cfg, scfg, seed, reference)
-             for scfg in samplers for seed in cfg.seeds]
-    workers = worker_count(len(tasks))
+    bounds = training_schedule(cfg.train.stage_count).boundaries
     try:
-        with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-            # each pair is kept as it finishes, so a later failure loses no finished pair
-            results = pool.map(_run_pair, tasks) if pool else map(_run_pair, tasks)
-            for (rows, runs), (_, _, _, scfg, seed, _) in zip(results, tasks):
+        # each pair is kept as it finishes, so a later failure loses no finished pair
+        for scfg in samplers:
+            for seed in cfg.seeds:
+                rows, runs = _run_pair(denoiser, estimator, scfg, seed,
+                                       cfg.bench.samples_per_run, bounds, reference)
                 record.rows.extend(rows)
                 for method, run in runs.items():
                     write_trace_jsonl(

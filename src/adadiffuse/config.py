@@ -118,7 +118,6 @@ _KEYS = {
     "dataset.radius": ("dataset", "radius", _FLOAT),
     "dataset.sigma": ("dataset", "sigma", _FLOAT),
     "dataset.weights": ("dataset", "weights", _FLOATS),
-    "dataset.roll_noise": ("dataset", "roll_noise", _FLOAT),
     "dataset.wave_length": ("dataset", "wave_length", _INT),
     "dataset.freq_lo": ("dataset", "freq_lo", _FLOAT),
     "dataset.freq_hi": ("dataset", "freq_hi", _FLOAT),

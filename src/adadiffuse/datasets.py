@@ -1,18 +1,16 @@
 """Deterministic toy datasets, standardized to zero mean / unit variance.
 
-Standardization uses fixed per-kind moments (analytic where available,
-deterministic quadrature for the swiss roll), never batch statistics, so
-generation stays a pure function of the DatasetSpec and sample moments
-obey the usual statistical fluctuation bounds.
+Standardization uses fixed analytic per-kind moments, never batch
+statistics, so generation stays a pure function of the DatasetSpec and
+sample moments obey the usual statistical fluctuation bounds.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-KINDS = ("gaussian_mixture_2d", "swiss_roll_2d", "sinusoid_1d")
+KINDS = ("gaussian_mixture_2d", "sinusoid_1d")
 
 
 @dataclass(frozen=True)
@@ -25,8 +23,6 @@ class DatasetSpec:
     radius: float = 2.0
     sigma: float = 0.1
     weights: tuple[float, ...] | None = None
-    # swiss_roll_2d
-    roll_noise: float = 0.3
     # sinusoid_1d
     wave_length: int = 64
     freq_lo: float = 1.0
@@ -50,9 +46,6 @@ class DatasetSpec:
                 w = np.asarray(self.weights, dtype=np.float64)
                 if not (np.all(np.isfinite(w)) and np.all(w >= 0) and w.sum() > 0):
                     raise ValueError("weights must be finite and nonnegative with positive sum")
-        elif self.kind == "swiss_roll_2d":
-            if not np.isfinite(self.roll_noise):
-                raise ValueError(f"roll_noise must be finite, got {self.roll_noise}")
         else:
             if self.wave_length < 1:
                 raise ValueError(f"wave_length must be >= 1, got {self.wave_length}")
@@ -86,17 +79,6 @@ def _mixture_moments(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray]:
     return mean, var
 
 
-@lru_cache(maxsize=16)
-def _roll_moments(noise: float) -> tuple[tuple[float, float], tuple[float, float]]:
-    # deterministic midpoint quadrature over the roll parameter
-    u = (np.arange(1 << 19) + 0.5) / (1 << 19)
-    t = 1.5 * np.pi * (1.0 + 2.0 * u)
-    xy = np.stack([t * np.cos(t), t * np.sin(t)], axis=1)
-    mean = xy.mean(axis=0)
-    var = xy.var(axis=0) + noise**2
-    return tuple(mean), tuple(var)
-
-
 def generate(spec: DatasetSpec) -> np.ndarray:
     """Draw spec.size standardized samples; bit-identical for equal specs."""
     rng = np.random.default_rng(spec.seed)
@@ -105,12 +87,6 @@ def generate(spec: DatasetSpec) -> np.ndarray:
         comp = rng.choice(spec.components, size=spec.size, p=_mixture_weights(spec))
         raw = centers[comp] + spec.sigma * rng.standard_normal((spec.size, 2))
         mean, var = _mixture_moments(spec)
-    elif spec.kind == "swiss_roll_2d":
-        t = 1.5 * np.pi * (1.0 + 2.0 * rng.uniform(size=spec.size))
-        raw = np.stack([t * np.cos(t), t * np.sin(t)], axis=1)
-        raw += spec.roll_noise * rng.standard_normal((spec.size, 2))
-        m, v = _roll_moments(spec.roll_noise)
-        mean, var = np.array(m), np.array(v)
     else:
         freq = rng.uniform(spec.freq_lo, spec.freq_hi, size=spec.size)
         phase = rng.uniform(0.0, 2.0 * np.pi, size=spec.size)

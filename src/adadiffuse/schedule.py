@@ -170,8 +170,9 @@ def _project(ab_hat: np.ndarray, n: int, kind: str, beta0: float) -> tuple[_Clos
     if its T lies in that form's interval, else the linear form.
 
     Each gamma_i is affine in T. Linear gammas run from beta0 to gamma_{n-1},
-    which sets both ends; Fibonacci gammas grow along i, so gamma_1 sets the
-    floor end. The Fibonacci interval is empty past some n (FIB_REACH at
+    which sets both ends, except that gamma_1 sets the floor end when beta0
+    lies below GAMMA_FLOOR; Fibonacci gammas grow along i, so gamma_1 sets
+    the floor end. The Fibonacci interval is empty past some n (FIB_REACH at
     beta0 = 1e-6, 17 at 1e-2), and where it is not it overlaps the linear
     one, so the union is one interval.
     """
@@ -180,7 +181,7 @@ def _project(ab_hat: np.ndarray, n: int, kind: str, beta0: float) -> tuple[_Clos
         g = _solve_batch(np.array([0.0, 1.0]), n, kind, beta0).gamma(rows)
         return (np.array([GAMMA_FLOOR, GAMMA_CEIL]) - g[:, 0]) / (g[:, 1] - g[:, 0])
 
-    lo, hi = ends("linear", n - 1)
+    lo, hi = ends("linear", 1 if beta0 < GAMMA_FLOOR else n - 1)
     f_lo, f_hi = ends(kind, 1) if kind == "fibonacci" and 2 < n <= FIB_REACH else (np.inf, -np.inf)
     if f_lo <= f_hi:
         lo, hi = min(lo, f_lo), max(hi, f_hi)

@@ -10,7 +10,6 @@ from adadiffuse.bench import (
     read_metrics_json,
     read_trace_jsonl,
     run_benchmark,
-    worker_count,
     write_trace_jsonl,
 )
 from adadiffuse.config import BenchConfig, RunConfig, parse_text
@@ -75,19 +74,9 @@ def test_benchmark_outputs_and_bookkeeping(tiny_setup, tmp_path):
     assert all(t.alpha_hat is not None for t in trace)
 
 
-def test_benchmark_deterministic_across_worker_counts(tiny_setup, tmp_path, monkeypatch):
-    cfg, den, est = tiny_setup
-    seq = run_benchmark(cfg, den, est, tmp_path / "seq")
-    monkeypatch.setenv("ADADIFFUSE_THREADS", "2")
-    par = run_benchmark(cfg, den, est, tmp_path / "par")
-    assert [r.energy_distance for r in seq.rows] == [r.energy_distance for r in par.rows]
-    assert [r.y_init_sha for r in seq.rows] == [r.y_init_sha for r in par.rows]
-
-
 def test_benchmark_keeps_finished_pairs_when_a_later_pair_fails(tiny_setup, tmp_path,
                                                                monkeypatch):
     cfg, den, est = tiny_setup
-    monkeypatch.delenv("ADADIFFUSE_THREADS", raising=False)
     calls = []
 
     def failing_third_pair(*args, **kwargs):
@@ -105,6 +94,10 @@ def test_benchmark_keeps_finished_pairs_when_a_later_pair_fails(tiny_setup, tmp_
     loaded = read_metrics_json(tmp_path / "metrics.json")
     assert [r.seed for r in loaded.rows] == [0, 0, 1, 1]
     assert set(loaded.wall_time_ms) == {("fixed", 4), ("adaptive", 4)}
+    # a pair's traces are written once both its runs are done
+    assert sorted(p.name for p in tmp_path.glob("trace_*.jsonl")) == [
+        f"trace_{method}_N4_seed{seed}.jsonl" for method in ("adaptive", "fixed")
+        for seed in (0, 1)]
 
 
 def _with_adjust(cfg, adjust, steps_list=None):
@@ -139,20 +132,6 @@ def test_benchmark_adjustment_set_per_step_count(tiny_setup, tmp_path):
     with pytest.raises(ConfigError, match="sampler.adjust step 3"):
         run_benchmark(_with_adjust(cfg, {3}, (4, 2)), den, est, tmp_path / "bad")
     assert not (tmp_path / "bad").exists()
-
-
-def test_worker_count_env_cap(monkeypatch):
-    monkeypatch.delenv("ADADIFFUSE_THREADS", raising=False)
-    assert worker_count(8) == 1
-    monkeypatch.setenv("ADADIFFUSE_THREADS", "4")
-    assert worker_count(8) == 4
-    assert worker_count(2) == 2
-
-
-def test_worker_count_rejects_non_integer_env(monkeypatch):
-    monkeypatch.setenv("ADADIFFUSE_THREADS", "abc")
-    with pytest.raises(ConfigError, match="ADADIFFUSE_THREADS"):
-        worker_count(8)
 
 
 def test_trace_jsonl_round_trip(tmp_path):

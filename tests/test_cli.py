@@ -149,15 +149,6 @@ def test_benchmark_without_checkpoints_exits_1_names_path(cfg_file, capsys):
     assert str(out / "denoiser.nesd") in capsys.readouterr().err
 
 
-def test_benchmark_with_non_integer_threads_exits_2(cfg_file, capsys, monkeypatch):
-    cfg_path, out = cfg_file
-    assert main(["train-denoiser", "--config", str(cfg_path)]) == 0
-    assert main(["train-estimator", "--config", str(cfg_path)]) == 0
-    monkeypatch.setenv("ADADIFFUSE_THREADS", "abc")
-    assert main(["benchmark", "--config", str(cfg_path)]) == 2
-    assert "ADADIFFUSE_THREADS" in capsys.readouterr().err
-
-
 def test_benchmark_with_adjust_step_above_an_n_exits_2(cfg_file, capsys):
     cfg_path, out = cfg_file
     assert main(["train-denoiser", "--config", str(cfg_path)]) == 0

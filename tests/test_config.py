@@ -67,7 +67,6 @@ def test_bad_value_becomes_config_error():
     "dataset.radius = inf",
     "dataset.sigma = nan",
     "dataset.sigma = inf",
-    "dataset.kind = swiss_roll_2d\ndataset.roll_noise = nan",
     "train.seed = -1",
     "dataset.seed = -1",
     "sampler.seed = -1",

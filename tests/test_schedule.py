@@ -261,6 +261,8 @@ def _feasible_targets(solve, m, beta0):
     # near its reach the Fibonacci interval is narrow; a target in the linear
     # one is not projected
     *[(1e-6, "fibonacci", m) for m in (30, 33, 34)],
+    # beta0 below GAMMA_FLOOR: gamma_1, not gamma_{m-1}, sets the linear floor end
+    *[(1e-6, "linear", m) for m in (3, 7, 999)],
 ])
 def test_update_noise_schedule_projects_targets_onto_the_feasible_interval(beta0, kind, m):
     # linear m = 3, beta0 = 1e-4 at the floor end solves to beta_3 =
@@ -276,16 +278,13 @@ def test_update_noise_schedule_projects_targets_onto_the_feasible_interval(beta0
         assert fib_lo <= hi and lo <= fib_hi
         targets += [fib_lo, fib_lo / 2, fib_hi, 2 * fib_hi]
         lo, hi = min(lo, fib_lo), max(hi, fib_hi)
-    if beta0 < GAMMA_FLOOR:
-        # the solver's linear floor end reads gamma_{m-1} only and lies below
-        # lo, where gamma_1 is at the floor (README, Noise schedules)
-        targets = [t for t in targets if t >= lo]
     for t in (t for t in targets if t < 700):  # exp(-t) must be a positive double
         sched = update_noise_schedule(math.exp(-t), m, ScheduleFamily(kind, beta0))
         assert len(sched) == m
         assert np.all(sched.betas >= BETA_FLOOR) and np.all(sched.betas <= BETA_CEIL)
         assert np.all(np.diff(sched.alpha_bars) < 0)
         np.testing.assert_allclose(sched.boundaries[1:] ** 2, sched.alpha_bars, rtol=1e-12)
+        np.testing.assert_allclose(np.cumprod(1 - sched.betas), sched.alpha_bars, rtol=1e-12)
         projected = min(max(t, lo), hi)
         assert sched.alpha_bars[-1] == pytest.approx(math.exp(-projected), rel=1e-12)
         if not lo * (1 - 1e-9) <= t <= hi * (1 + 1e-9):
