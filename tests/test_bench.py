@@ -14,7 +14,7 @@ from adadiffuse.bench import (
 )
 from adadiffuse.config import BenchConfig, RunConfig, parse_text
 from adadiffuse.datasets import DatasetSpec
-from adadiffuse.diffusion import TrainConfig
+from adadiffuse.diffusion import TrainConfig, training_schedule
 from adadiffuse.errors import ConfigError, TraceError
 from adadiffuse.models import make_denoiser, make_estimator
 from adadiffuse.sampler import SamplerConfig, StepRecord, sample_adaptive, sample_batch
@@ -98,6 +98,50 @@ def test_benchmark_keeps_finished_pairs_when_a_later_pair_fails(tiny_setup, tmp_
     assert sorted(p.name for p in tmp_path.glob("trace_*.jsonl")) == [
         f"trace_{method}_N4_seed{seed}.jsonl" for method in ("adaptive", "fixed")
         for seed in (0, 1)]
+
+
+def test_benchmark_deterministic_across_calls(tiny_setup, tmp_path):
+    cfg, den, est = tiny_setup
+    first = run_benchmark(cfg, den, est, tmp_path / "first")
+    second = run_benchmark(cfg, den, est, tmp_path / "second")
+    assert [r.energy_distance for r in first.rows] == [r.energy_distance for r in second.rows]
+    assert [r.y_init_sha for r in first.rows] == [r.y_init_sha for r in second.rows]
+    assert [r.clamp_events for r in first.rows] == [r.clamp_events for r in second.rows]
+
+
+def test_benchmark_pair_with_a_failed_adaptive_run_leaves_no_trace(tiny_setup, tmp_path,
+                                                                  monkeypatch):
+    cfg, den, est = tiny_setup
+    calls = []
+
+    def failing_first_adaptive_run(*args, **kwargs):
+        calls.append(kwargs["adaptive"])
+        if kwargs["adaptive"]:
+            raise RuntimeError("injected failure")
+        return sample_batch(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "sample_batch", failing_first_adaptive_run)
+    with pytest.raises(RuntimeError, match="injected failure"):
+        run_benchmark(cfg, den, est, tmp_path)
+    assert calls == [False, True]  # the fixed run finished before the failure
+    assert list(tmp_path.glob("trace_*.jsonl")) == []
+    assert read_bench_csv(tmp_path / "bench.csv") == []
+    assert read_metrics_json(tmp_path / "metrics.json").rows == []
+
+
+def test_benchmark_builds_the_training_boundaries_once(tiny_setup, tmp_path, monkeypatch):
+    cfg, den, est = tiny_setup
+    stage_counts = []
+
+    def counted(stage_count):
+        stage_counts.append(stage_count)
+        return training_schedule(stage_count)
+
+    monkeypatch.setattr(bench, "training_schedule", counted)
+    record = run_benchmark(replace(cfg, bench=replace(cfg.bench, steps_list=(2, 4))),
+                           den, est, tmp_path)
+    assert len(record.rows) == 12  # two N, three seeds, two methods
+    assert stage_counts == [cfg.train.stage_count]
 
 
 def _with_adjust(cfg, adjust, steps_list=None):

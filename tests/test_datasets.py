@@ -46,6 +46,12 @@ def test_sinusoid_shape_and_moments():
     assert abs(batch.var() - 1.0) < 0.05
 
 
+def test_two_d_kinds_emit_pairs():
+    spec = DatasetSpec(kind="gaussian_mixture_2d", size=8, seed=0)
+    assert spec.dim == 2
+    assert generate(spec).shape == (8, 2)
+
+
 def test_held_out_differs_but_same_distribution():
     spec = DatasetSpec(size=256, seed=4)
     a, b = generate(spec), generate(held_out(spec))
