@@ -21,7 +21,6 @@ import numpy as np
 
 from .config import RunConfig
 from .datasets import generate, held_out
-from .diffusion import training_schedule
 from .errors import ConfigError, TraceError
 from .metrics import energy_distance, eval_estimator_curve
 from .models import Denoiser, Estimator
@@ -185,7 +184,7 @@ def _adjustment_for(sampler: SamplerConfig, steps: int) -> frozenset[int]:
 
 
 def _run_pair(denoiser: Denoiser, estimator: Estimator, scfg: SamplerConfig, seed: int,
-              batch: int, bounds: np.ndarray, reference: np.ndarray,
+              batch: int, reference: np.ndarray,
               ) -> tuple[list[BenchRow], dict[str, SamplingRun]]:
     steps = scfg.steps
     rows, runs = [], {}
@@ -194,7 +193,6 @@ def _run_pair(denoiser: Denoiser, estimator: Estimator, scfg: SamplerConfig, see
         run = sample_batch(
             denoiser, scfg, rng, batch,
             estimator=estimator, adaptive=(method == "adaptive"),
-            train_bounds=bounds,
         )
         rows.append(BenchRow(
             method=method, steps=steps, seed=seed,
@@ -223,13 +221,12 @@ def run_benchmark(cfg: RunConfig, denoiser: Denoiser, estimator: Estimator,
         estimator, generate(cfg.dataset), cfg.eval_grid, cfg.eval_samples_per_point
     )
 
-    bounds = training_schedule(cfg.train.stage_count).boundaries
     try:
         # each pair is kept as it finishes, so a later failure loses no finished pair
         for scfg in samplers:
             for seed in cfg.seeds:
                 rows, runs = _run_pair(denoiser, estimator, scfg, seed,
-                                       cfg.bench.samples_per_run, bounds, reference)
+                                       cfg.bench.samples_per_run, reference)
                 record.rows.extend(rows)
                 for method, run in runs.items():
                     write_trace_jsonl(

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError
-from .models import CONDITIONING_MODES, Denoiser, Estimator
+from .models import Denoiser, Estimator
 from .nn import ACTIVATIONS, DenseLayer, Network
 from .schedule import NoiseSchedule
 
@@ -141,9 +141,8 @@ def save_checkpoint(models: dict, schedule: NoiseSchedule | None, path) -> None:
     den = models.get("denoiser")
     if den is not None:
         tensors.update(_network_tensors("denoiser", den.net))
-        tensors["denoiser/meta"] = np.array(
-            [float(den.data_dim), float(CONDITIONING_MODES.index(den.conditioning_mode))]
-        )
+        # the second entry is the conditioning code; 0, continuous_alpha, is the only one left
+        tensors["denoiser/meta"] = np.array([float(den.data_dim), 0.0])
     est = models.get("estimator")
     if est is not None:
         tensors.update(_network_tensors("estimator", est.net))
@@ -160,11 +159,11 @@ def load_checkpoint(path) -> tuple[dict, NoiseSchedule | None]:
     try:
         if "denoiser/meta" in tensors:
             meta = tensors["denoiser/meta"]
-            code = _stored_int(meta[1], len(CONDITIONING_MODES), "denoiser conditioning code")
+            if _stored_int(meta[1], 2, "denoiser conditioning code"):  # 0: continuous_alpha
+                raise CheckpointError(f"{path}: a discrete_index denoiser; that mode was removed")
             models["denoiser"] = Denoiser(
                 net=_network_from_tensors("denoiser", tensors),
                 data_dim=_stored_int(meta[0], _DIM_LIMIT, "denoiser data_dim"),
-                conditioning_mode=CONDITIONING_MODES[code],
             )
         if "estimator/meta" in tensors:
             meta = tensors["estimator/meta"]

@@ -66,7 +66,7 @@ def _cmd_train(args, which: str) -> int:
     data = generate(cfg.dataset)
     schedule = training_schedule(cfg.train.stage_count)
     if which == "denoiser":
-        model = make_denoiser(cfg.dataset.dim, cfg.train.seed, cfg.sampler.conditioning_mode)
+        model = make_denoiser(cfg.dataset.dim, cfg.train.seed)
         trainer, key = train_denoiser, "denoiser"
     else:
         model = make_estimator(cfg.dataset.dim, cfg.train.seed)
@@ -126,7 +126,6 @@ def _cmd_sample(args) -> int:
     run = sample_batch(
         models["denoiser"], cfg.sampler, np.random.default_rng(cfg.sampler.seed), 1,
         estimator=models.get("estimator"), adaptive=adaptive,
-        train_bounds=training_schedule(cfg.train.stage_count).boundaries,
     )
     write_samples_csv(run.y0, out / "sample.csv")
     write_trace_jsonl(run.steps, out / "trace.jsonl")

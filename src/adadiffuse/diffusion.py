@@ -3,9 +3,11 @@
 Training draws its noise levels from training_schedule, the linear
 family's fixed schedule (ScheduleFamily.fixed, beta0 = 1e-4): a stage
 uniform in 1..N, then a level uniform in that stage's boundary interval.
-The denoiser learns to predict injected noise under an L1 objective; the
-noise-level estimator regresses the cumulative retention alpha-bar under
-an L2 loss on log(1 - alpha_bar), which weights errors near 1 heavily.
+Only the level reaches the models: the denoiser is conditioned on it,
+and the estimator's target is its square. The denoiser learns to
+predict injected noise under an L1 objective; the noise-level estimator
+regresses the cumulative retention alpha-bar under an L2 loss on
+log(1 - alpha_bar), which weights errors near 1 heavily.
 Both models train in one loop, bit-deterministic given (seed, step index).
 
 Each step draws its inputs from its own generator, default_rng([seed,
@@ -102,7 +104,6 @@ class NoisyBatch:
     y_s: np.ndarray
     sqrt_alpha_bar: np.ndarray
     epsilon: np.ndarray
-    stages: np.ndarray
 
 
 def make_noisy_batch(data: np.ndarray, schedule: NoiseSchedule, rngs,
@@ -114,27 +115,20 @@ def make_noisy_batch(data: np.ndarray, schedule: NoiseSchedule, rngs,
     one forward_diffuse cover every row; step i owns rows
     [i * batch_size, (i + 1) * batch_size).
     """
-    picks, stages, levels, noise = [], [], [], []
+    picks, levels, noise = [], [], []
     for rng in rngs:
         picks.append(rng.integers(0, data.shape[0], size=batch_size))
-        s, a = sample_noise_levels(rng, schedule, batch_size)
-        stages.append(s)
-        levels.append(a)
+        levels.append(sample_noise_levels(rng, schedule, batch_size)[1])
         noise.append(rng.standard_normal((batch_size, *data.shape[1:])))
     y0 = data[np.concatenate(picks)]
     sqrt_ab, eps = np.concatenate(levels), np.concatenate(noise)
     y_s = forward_diffuse(y0, sqrt_ab**2, eps)
-    return NoisyBatch(y0=y0, y_s=y_s, sqrt_alpha_bar=sqrt_ab, epsilon=eps,
-                      stages=np.concatenate(stages))
+    return NoisyBatch(y0=y0, y_s=y_s, sqrt_alpha_bar=sqrt_ab, epsilon=eps)
 
 
-def _denoiser_rows(denoiser: Denoiser, batch: NoisyBatch, schedule: NoiseSchedule):
-    """The denoiser's network input and target rows for a batch."""
-    if denoiser.conditioning_mode == "discrete_index":
-        cond = batch.stages / float(len(schedule))
-    else:
-        cond = batch.sqrt_alpha_bar
-    return denoiser.conditioned_input(batch.y_s, cond), batch.epsilon
+def _denoiser_rows(denoiser: Denoiser, batch: NoisyBatch):
+    """The denoiser's network input rows, conditioned on each row's level, and target rows."""
+    return denoiser.conditioned_input(batch.y_s, batch.sqrt_alpha_bar), batch.epsilon
 
 
 def denoiser_train_step(denoiser: Denoiser, opt: AdamState, x: np.ndarray,
@@ -164,7 +158,7 @@ def estimator_loss(alpha_bar_true, alpha_bar_hat) -> float:
     return _loss_and_gap(alpha_bar_true, alpha_bar_hat)[0]
 
 
-def _estimator_rows(estimator: Estimator, batch: NoisyBatch, schedule: NoiseSchedule):
+def _estimator_rows(estimator: Estimator, batch: NoisyBatch):
     """The estimator's network input and target rows (alpha-bar) for a batch."""
     return batch.y_s, batch.sqrt_alpha_bar**2
 
@@ -191,8 +185,9 @@ def _step_rng(seed: int, step: int) -> np.random.Generator:
 
 
 def _train(model, rows, train_step, data: np.ndarray, cfg: TrainConfig, progress) -> list[float]:
-    """Build each block's inputs with make_noisy_batch and rows(model, batch,
-    schedule), then run train_step on one step's slice of them at a time."""
+    """Build each block's inputs with make_noisy_batch, drawn from the
+    training schedule, and rows(model, batch), then run train_step on one
+    step's slice of them at a time."""
     schedule = training_schedule(cfg.stage_count)
     opt = AdamState.for_network(model.net, learning_rate=cfg.learning_rate)
     size = cfg.batch_size
@@ -200,7 +195,7 @@ def _train(model, rows, train_step, data: np.ndarray, cfg: TrainConfig, progress
     for first in range(0, cfg.total_steps, BLOCK_STEPS):
         steps = range(first, min(first + BLOCK_STEPS, cfg.total_steps))
         batch = make_noisy_batch(data, schedule, [_step_rng(cfg.seed, s) for s in steps], size)
-        x, target = rows(model, batch, schedule)
+        x, target = rows(model, batch)
         for i, step in enumerate(steps):
             part = slice(i * size, (i + 1) * size)
             loss = train_step(model, opt, x[part], target[part])

@@ -1,10 +1,12 @@
 """Denoiser and noise-level estimator models.
 
 Both are plain MLPs from the nn kernel. The denoiser consumes the state
-vector concatenated with a scalar conditioning signal (the current
-sqrt-alpha-bar, or a normalized interval index) plus a 16-dim sinusoidal
-embedding of that scalar. The estimator consumes the raw state and emits
-one sigmoid-bounded value. predict is the one inference path, used by the
+vector concatenated with its conditioning signal, the continuous noise
+level sqrt(alpha_bar) (as in WaveGrad, arXiv:2009.00713), plus a 16-dim
+sinusoidal embedding of that scalar. A re-solved schedule asks about
+levels no training stage names, and the continuous level takes any of
+them directly. The estimator consumes the raw state and emits one
+sigmoid-bounded value. predict is the one inference path, used by the
 sampler and the estimator curve: it runs Network.apply, which computes in
 float32 and returns float64 (agreeing with Network.forward to float32
 precision), keeps no activation cache and does not check its output for
@@ -25,7 +27,12 @@ EMBED_DIM = 16
 DENOISER_HIDDEN = (128, 128, 128)
 ESTIMATOR_HIDDEN = (64, 64)
 
-CONDITIONING_MODES = ("continuous_alpha", "discrete_index")
+
+def _require_continuous(conditioning_mode: str) -> None:
+    """Reject every conditioning mode but continuous_alpha, the one left."""
+    if conditioning_mode != "continuous_alpha":
+        raise ValueError(f"conditioning mode {conditioning_mode!r} is not supported: the "
+                         "denoiser conditions on sqrt(alpha_bar) only (continuous_alpha)")
 
 
 def sinusoidal_embedding(c: np.ndarray) -> np.ndarray:
@@ -38,15 +45,12 @@ def sinusoidal_embedding(c: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Denoiser:
-    """Noise-prediction network with scalar conditioning."""
+    """Noise-prediction network conditioned on the noise level sqrt(alpha_bar)."""
 
     net: Network
     data_dim: int
-    conditioning_mode: str = "continuous_alpha"
 
     def __post_init__(self):
-        if self.conditioning_mode not in CONDITIONING_MODES:
-            raise ValueError(f"unknown conditioning mode {self.conditioning_mode!r}")
         expect = self.data_dim + 1 + EMBED_DIM
         if self.net.input_dim != expect or self.net.output_dim != self.data_dim:
             raise ValueError(
@@ -101,9 +105,11 @@ class Estimator:
 
 
 def make_denoiser(data_dim: int, seed: int, conditioning_mode: str = "continuous_alpha") -> Denoiser:
+    """A fresh denoiser; conditioning_mode must be continuous_alpha."""
+    _require_continuous(conditioning_mode)
     dims = [data_dim + 1 + EMBED_DIM, *DENOISER_HIDDEN, data_dim]
     acts = ["relu"] * len(DENOISER_HIDDEN) + ["identity"]
-    return Denoiser(init_network(dims, acts, seed), data_dim, conditioning_mode)
+    return Denoiser(init_network(dims, acts, seed), data_dim)
 
 
 def make_estimator(data_dim: int, seed: int) -> Estimator:

@@ -29,20 +29,22 @@ re-solve at step n is the next record's alpha_bar, and chain 0's schedule
 after it is update_noise_schedule(next.alpha_bar, n - 1, cfg.family), to
 rounding. The engine runs the public formulas' code: _reverse_step
 (behind ddpm_update and ddim_update, with DDIM's sigma from eq. 16 of
-arXiv:2010.02502), _project (behind update_noise_schedule) and
-_indices_for_levels (behind index_for_level).
+arXiv:2010.02502) and _project (behind update_noise_schedule). The
+denoiser is conditioned on the in-force level sqrt(alpha_bar_n) of each
+chain, whatever schedule set it.
 """
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ScheduleError, ShapeError
-from .models import Denoiser, Estimator
+from .errors import ScheduleError, ShapeError
+from .models import Denoiser, Estimator, _require_continuous
 from .nn import check_finite
-from .schedule import NoiseSchedule, ScheduleFamily, _indices_for_levels, _project
+from .schedule import NoiseSchedule, ScheduleFamily, _project
 
 UPDATE_RULES = ("ddpm", "ddim")
 
@@ -63,12 +65,14 @@ class SamplerConfig:
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         object.__setattr__(self, "adjustment_set", frozenset(self.adjustment_set))
-        if not all(1 <= u <= self.steps for u in self.adjustment_set):
-            raise ValueError("adjustment set must be a subset of {1..steps}")
+        for u in self.adjustment_set:  # 2.5 would match no step and turn adaptation off
+            if not (isinstance(u, numbers.Integral) and 1 <= u <= self.steps):
+                raise ValueError(f"adjustment step {u!r} is not an integer in 1..{self.steps}")
         if self.update_rule not in UPDATE_RULES:
             raise ValueError(f"unknown update rule {self.update_rule!r}")
         if not (0.0 <= self.eta <= 1.0):  # NaN fails too; DDIM's sigma needs eta <= 1
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
+        _require_continuous(self.conditioning_mode)
         if self.seed < 0:
             raise ValueError(f"sampler.seed must be >= 0, got {self.seed}")
 
@@ -167,20 +171,12 @@ def _reverse_engine(
     adjust: frozenset[int],
     batch: int,
     y_init: np.ndarray | None,
-    train_bounds: np.ndarray | None,
 ) -> SamplingRun:
     n_steps = cfg.steps
     if len(schedule) != n_steps:
         raise ScheduleError(f"schedule length {len(schedule)} != configured steps {n_steps}")
     if adjust and estimator is None:
         raise ValueError("adjustment steps configured but no estimator supplied")
-    if cfg.conditioning_mode != denoiser.conditioning_mode:
-        raise ConfigError(
-            f"sampler conditioning {cfg.conditioning_mode!r} does not match the "
-            f"denoiser's {denoiser.conditioning_mode!r}"
-        )
-    if cfg.conditioning_mode == "discrete_index" and train_bounds is None:
-        raise ValueError("discrete_index conditioning needs the training boundary table")
     dim = denoiser.data_dim
 
     if y_init is None:
@@ -207,12 +203,7 @@ def _reverse_engine(
         rec = StepRecord(n=n, alpha_hat=None, beta=float(beta_n[0]),
                          alpha_bar=float(abar_n[0]), wall_ms=0.0)
 
-        if cfg.conditioning_mode == "discrete_index":
-            t_idx = _indices_for_levels(abar_n, train_bounds)
-            cond = t_idx / float(train_bounds.size - 1)
-        else:
-            cond = np.sqrt(abar_n)
-        eps_hat = denoiser.predict(y, cond)
+        eps_hat = denoiser.predict(y, np.sqrt(abar_n))
         z = rng.standard_normal((batch, dim))
         y_det, noise_scale = _reverse_step(
             y, eps_hat, n, beta_n[:, None], abar_n[:, None], abar_prev[:, None],
@@ -244,12 +235,11 @@ def _reverse_engine(
     )
 
 
-def _single_chain(denoiser, schedule, cfg, rng, estimator, adjust, y_init, train_bounds):
+def _single_chain(denoiser, schedule, cfg, rng, estimator, adjust, y_init):
     run = _reverse_engine(
         denoiser, schedule, cfg, rng,
         estimator=estimator, adjust=adjust, batch=1,
         y_init=None if y_init is None else np.atleast_2d(y_init),
-        train_bounds=train_bounds,
     )
     run.y0 = run.y0[0]
     run.y_init = run.y_init[0]
@@ -261,11 +251,10 @@ def sample_fixed(
     schedule: NoiseSchedule,
     cfg: SamplerConfig,
     rng: np.random.Generator,
-    train_bounds: np.ndarray | None = None,
     y_init: np.ndarray | None = None,
 ) -> SamplingRun:
     """Run the reverse process once under an unchanging schedule."""
-    return _single_chain(denoiser, schedule, cfg, rng, None, frozenset(), y_init, train_bounds)
+    return _single_chain(denoiser, schedule, cfg, rng, None, frozenset(), y_init)
 
 
 def sample_adaptive(
@@ -273,13 +262,12 @@ def sample_adaptive(
     estimator: Estimator,
     cfg: SamplerConfig,
     rng: np.random.Generator,
-    train_bounds: np.ndarray | None = None,
     y_init: np.ndarray | None = None,
 ) -> SamplingRun:
     """Reverse process with estimator-driven schedule re-solves at cfg.adjustment_set."""
     return _single_chain(
         denoiser, initial_noise_schedule(cfg), cfg, rng,
-        estimator, cfg.adjustment_set, y_init, train_bounds,
+        estimator, cfg.adjustment_set, y_init,
     )
 
 
@@ -293,12 +281,17 @@ def sample_batch(
     train_bounds: np.ndarray | None = None,
     y_init: np.ndarray | None = None,
 ) -> SamplingRun:
-    """Evolve a batch of independent chains in one vectorized run."""
+    """Evolve a batch of independent chains in one vectorized run.
+
+    train_bounds is not read. It remains so that callers written when the
+    denoiser could be conditioned on a training interval index, which
+    needed that table, still run.
+    """
     if batch < 1:
         raise ShapeError(f"batch must be >= 1, got {batch}")
     return _reverse_engine(
         denoiser, initial_noise_schedule(cfg), cfg, rng,
         estimator=estimator if adaptive else None,
         adjust=cfg.adjustment_set if adaptive else frozenset(),
-        batch=batch, y_init=y_init, train_bounds=train_bounds,
+        batch=batch, y_init=y_init,
     )

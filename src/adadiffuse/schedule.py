@@ -17,12 +17,12 @@ family takes the recurrence where every gamma fits the beta bounds and
 the linear form where only that one fits; a target that no form fits is
 first projected, so that no gamma is clipped.
 
-Each formula has one vectorized implementation that the sampler runs
-per chain: _ClosedForm (one expression for both forms, four coefficients
-per chain), _solve_batch (each form's coefficients), _project (the
-target projection and the choice of form) and _indices_for_levels (the
-level-to-interval lookup). solve_linear, solve_fibonacci,
-update_noise_schedule and index_for_level are their batch-1 views.
+Each solver formula has one vectorized implementation that the sampler
+runs per chain: _ClosedForm (one expression for both forms, four
+coefficients per chain), _solve_batch (each form's coefficients) and
+_project (the target projection and the choice of form). solve_linear,
+solve_fibonacci and update_noise_schedule are their batch-1 views.
+index_for_level is the level-to-interval lookup.
 """
 from __future__ import annotations
 
@@ -245,19 +245,12 @@ def update_noise_schedule(alpha_bar_hat: float, n: int, family: ScheduleFamily) 
     return NoiseSchedule._from_rows(form.beta(k), form.alpha_bar(k), moved)
 
 
-def _indices_for_levels(ab: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Interval index t in [1, N] with sqrt(ab) in [l_t, l_{t-1}], per entry."""
-    level = np.sqrt(ab)
-    # bounds is decreasing: find first t with bounds[t] <= level
-    t = np.searchsorted(-bounds, -level, side="left")
-    return np.clip(t, 1, bounds.size - 1)
-
-
 def index_for_level(alpha_bar_hat: float, schedule: NoiseSchedule) -> int:
     """Interval index t >= 1 of schedule with sqrt(alpha_bar_hat) in
     [l_t, l_{t-1}]; levels above 1 or below l_N clamp to the first/last
     interval, and a NaN or negative level is rejected."""
     if not alpha_bar_hat >= 0.0:
         raise ScheduleError(f"alpha_bar {alpha_bar_hat} is NaN or negative")
-    level = np.array([alpha_bar_hat], dtype=np.float64)
-    return int(_indices_for_levels(level, schedule.boundaries)[0])
+    # the boundaries decrease: the first t with l_t <= sqrt(alpha_bar_hat)
+    t = np.searchsorted(-schedule.boundaries, -np.sqrt(float(alpha_bar_hat)), side="left")
+    return int(np.clip(t, 1, len(schedule)))

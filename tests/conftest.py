@@ -26,10 +26,7 @@ def mixture_data(run_config):
 
 @pytest.fixture(scope="session")
 def trained_denoiser(run_config, mixture_data):
-    den = make_denoiser(
-        run_config.dataset.dim, run_config.train.seed,
-        run_config.sampler.conditioning_mode,
-    )
+    den = make_denoiser(run_config.dataset.dim, run_config.train.seed)
     train_denoiser(den, mixture_data, run_config.train)
     return den
 

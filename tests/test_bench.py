@@ -14,7 +14,7 @@ from adadiffuse.bench import (
 )
 from adadiffuse.config import BenchConfig, RunConfig, parse_text
 from adadiffuse.datasets import DatasetSpec
-from adadiffuse.diffusion import TrainConfig, training_schedule
+from adadiffuse.diffusion import TrainConfig
 from adadiffuse.errors import ConfigError, TraceError
 from adadiffuse.models import make_denoiser, make_estimator
 from adadiffuse.sampler import SamplerConfig, StepRecord, sample_adaptive, sample_batch
@@ -127,21 +127,6 @@ def test_benchmark_pair_with_a_failed_adaptive_run_leaves_no_trace(tiny_setup, t
     assert list(tmp_path.glob("trace_*.jsonl")) == []
     assert read_bench_csv(tmp_path / "bench.csv") == []
     assert read_metrics_json(tmp_path / "metrics.json").rows == []
-
-
-def test_benchmark_builds_the_training_boundaries_once(tiny_setup, tmp_path, monkeypatch):
-    cfg, den, est = tiny_setup
-    stage_counts = []
-
-    def counted(stage_count):
-        stage_counts.append(stage_count)
-        return training_schedule(stage_count)
-
-    monkeypatch.setattr(bench, "training_schedule", counted)
-    record = run_benchmark(replace(cfg, bench=replace(cfg.bench, steps_list=(2, 4))),
-                           den, est, tmp_path)
-    assert len(record.rows) == 12  # two N, three seeds, two methods
-    assert stage_counts == [cfg.train.stage_count]
 
 
 def _with_adjust(cfg, adjust, steps_list=None):

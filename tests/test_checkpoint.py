@@ -48,7 +48,7 @@ def test_model_checkpoint_round_trip(tmp_path):
     models, sched2 = load_checkpoint(path)
 
     assert models["denoiser"].data_dim == 2
-    assert models["denoiser"].conditioning_mode == "continuous_alpha"
+    assert read_tensors(path)["denoiser/meta"].tolist() == [2.0, 0.0]  # code 0: continuous
     for l1, l2 in zip(den.net.layers, models["denoiser"].net.layers):
         assert np.array_equal(l1.weight, l2.weight)
         assert np.array_equal(l1.bias, l2.bias)
@@ -64,14 +64,15 @@ def test_model_checkpoint_round_trip(tmp_path):
     )
 
 
-def test_discrete_mode_survives_round_trip(tmp_path):
-    den = make_denoiser(2, seed=1, conditioning_mode="discrete_index")
+def test_a_removed_discrete_index_denoiser_is_rejected_by_name(tmp_path):
+    # conditioning code 1 is what a discrete_index denoiser stored
     path = tmp_path / "d.nesd"
-    save_checkpoint({"denoiser": den}, None, path)
-    models, sched = load_checkpoint(path)
-    assert models["denoiser"].conditioning_mode == "discrete_index"
-    assert sched is None
-    assert read_tensors(path)["denoiser/meta"][1] == 1.0  # the stored code
+    save_checkpoint({"denoiser": make_denoiser(2, seed=1)}, None, path)
+    tensors = read_tensors(path)
+    tensors["denoiser/meta"][1] = 1.0
+    write_tensors(path, tensors)
+    with pytest.raises(CheckpointError, match="a discrete_index denoiser; that mode was removed"):
+        load_checkpoint(path)
 
 
 def test_bad_magic_rejected(tmp_path):

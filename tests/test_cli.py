@@ -126,13 +126,16 @@ def test_train_sample_benchmark_pipeline(cfg_file, capsys):
 
 
 def test_sample_with_the_other_conditioning_mode_exits_2(cfg_file, capsys):
+    # the config is rejected as it is parsed, before any checkpoint is read:
+    # no model was trained, so reading one would exit 1
     cfg_path, out = cfg_file
-    assert main(["train-denoiser", "--config", str(cfg_path)]) == 0
     cfg_path.write_text(cfg_path.read_text() + "sampler.conditioning = discrete_index\n")
-    assert main(["sample", "--config", str(cfg_path), "--mode", "fixed"]) == 2
-    err = capsys.readouterr().err
-    assert "discrete_index" in err and "continuous_alpha" in err
-    assert not (out / "sample.csv").exists()
+    for cmd in (["sample", "--mode", "fixed"], ["train-denoiser"]):
+        assert main([*cmd, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "discrete_index" in err and "continuous_alpha" in err
+    assert not out.exists()
 
 
 def test_sample_without_checkpoints_exits_1(cfg_file, capsys):

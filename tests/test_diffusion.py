@@ -199,24 +199,19 @@ def _per_step_reference(model, data, cfg):
     for step in range(cfg.total_steps):
         rng = np.random.default_rng([cfg.seed, step])
         y0 = data[rng.integers(0, data.shape[0], size=cfg.batch_size)]
-        stages, sqrt_ab = sample_noise_levels(rng, schedule, y0.shape[0])
+        _, sqrt_ab = sample_noise_levels(rng, schedule, y0.shape[0])
         eps = rng.standard_normal(y0.shape)
         y_s = forward_diffuse(y0, sqrt_ab**2, eps)
         if isinstance(model, Estimator):
             loss = estimator_train_step(model, opt, y_s, sqrt_ab**2)
         else:
-            if model.conditioning_mode == "discrete_index":
-                cond = stages / float(len(schedule))
-            else:
-                cond = sqrt_ab
-            loss = denoiser_train_step(model, opt, model.conditioned_input(y_s, cond), eps)
+            loss = denoiser_train_step(model, opt, model.conditioned_input(y_s, sqrt_ab), eps)
         losses.append(loss)
     return losses
 
 
 _MODELS = {
     "continuous_alpha": (lambda: make_denoiser(2, 3, "continuous_alpha"), train_denoiser),
-    "discrete_index": (lambda: make_denoiser(2, 3, "discrete_index"), train_denoiser),
     "estimator": (lambda: make_estimator(2, 3), train_estimator),
 }
 

@@ -65,9 +65,10 @@ def test_estimator_output_bounded():
     assert isinstance(single, float)
 
 
-def test_bad_conditioning_mode_rejected():
-    with pytest.raises(ValueError):
-        make_denoiser(2, seed=0, conditioning_mode="fourier")
+@pytest.mark.parametrize("mode", ["fourier", "discrete_index"])
+def test_bad_conditioning_mode_rejected(mode):
+    with pytest.raises(ValueError, match=f"'{mode}' is not supported.*continuous_alpha"):
+        make_denoiser(2, 0, mode)
 
 
 def test_predict_leaves_the_network_cache_as_it_found_it():

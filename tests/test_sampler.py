@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adadiffuse.diffusion import forward_diffuse, training_schedule
-from adadiffuse.errors import ConfigError, ScheduleError, ShapeError
+from adadiffuse.errors import ScheduleError, ShapeError
 from adadiffuse.models import Denoiser, Estimator, make_denoiser, make_estimator
 from adadiffuse.nn import Network, _layer_out
 from adadiffuse.sampler import (
@@ -515,28 +515,31 @@ def test_eta_zero_output_depends_only_on_initial_state(small_models):
     np.testing.assert_array_equal(r1.y0, r2.y0)
 
 
-def test_discrete_index_conditioning_runs(small_models):
-    _, est = small_models
-    den = make_denoiser(2, seed=100, conditioning_mode="discrete_index")
-    cfg = _cfg(steps=6, conditioning_mode="discrete_index",
-               adjustment_set=frozenset(range(1, 7)))
-    bounds = training_schedule(1000).boundaries
-    run = sample_adaptive(den, est, cfg, np.random.default_rng(3), train_bounds=bounds)
-    assert np.all(np.isfinite(run.y0))
-    with pytest.raises(ValueError):
-        sample_adaptive(den, est, cfg, np.random.default_rng(3))  # missing table
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_sample_batch_ignores_the_training_boundary_table(small_models, adaptive):
+    den, est = small_models
+    cfg = _cfg(steps=6, adjustment_set=frozenset(range(1, 7)))
+    runs = [
+        sample_batch(den, cfg, np.random.default_rng(3), 8, estimator=est,
+                     adaptive=adaptive, train_bounds=bounds)
+        for bounds in (None, training_schedule(100).boundaries)
+    ]
+    assert runs[0].y0.tobytes() == runs[1].y0.tobytes()
+    assert runs[0].clamp_events == runs[1].clamp_events
+    assert [r.alpha_hat for r in runs[0].steps] == [r.alpha_hat for r in runs[1].steps]
 
 
-def test_conditioning_mode_must_match_the_denoiser(small_models):
-    den, est = small_models  # built for continuous_alpha
-    cfg = _cfg(steps=3, conditioning_mode="discrete_index")
-    bounds = training_schedule(100).boundaries
-    with pytest.raises(ConfigError, match="'discrete_index'.*'continuous_alpha'"):
-        sample_batch(den, cfg, np.random.default_rng(0), 4, train_bounds=bounds)
-    discrete = make_denoiser(2, seed=100, conditioning_mode="discrete_index")
-    with pytest.raises(ConfigError, match="'continuous_alpha'.*'discrete_index'"):
-        sample_batch(discrete, _cfg(steps=3), np.random.default_rng(0), 4,
-                     estimator=est, adaptive=True)
+def test_only_continuous_conditioning_is_accepted():
+    with pytest.raises(ValueError, match="'discrete_index' is not supported.*continuous_alpha"):
+        _cfg(conditioning_mode="discrete_index")
+
+
+@pytest.mark.parametrize("step", [2.5, 2.0, "2", None])
+def test_a_non_integer_adjustment_step_is_rejected(step):
+    # 2.5 matches no step index, so it would silently turn adaptation off
+    with pytest.raises(ValueError, match=f"adjustment step {step!r} is not an integer"):
+        _cfg(steps=6, adjustment_set={1, step})
+    assert _cfg(steps=6, adjustment_set={np.int64(2), 3}).adjustment_set == {2, 3}
 
 
 def test_adaptive_counts_solver_clamps(small_models):
