@@ -6,7 +6,6 @@ from .diffusion import (
     TrainConfig,
     estimator_loss,
     forward_diffuse,
-    sample_noise_level,
     train_denoiser,
     train_estimator,
     training_schedule,
@@ -28,7 +27,6 @@ from .sampler import (
 from .schedule import (
     NoiseSchedule,
     ScheduleFamily,
-    index_for_level,
     solve_fibonacci,
     solve_linear,
     update_noise_schedule,
@@ -41,9 +39,9 @@ __all__ = [
     "Network", "NoiseSchedule", "NoisyBatch", "SamplerConfig", "SamplingRun",
     "ScheduleFamily", "StepRecord", "TrainConfig", "adam_step", "ddim_update",
     "ddpm_update", "energy_distance", "estimator_loss", "eval_estimator_curve",
-    "finite_diff_check", "forward_diffuse", "generate", "index_for_level",
-    "init_network", "initial_noise_schedule", "make_denoiser", "make_estimator",
-    "sample_adaptive", "sample_batch", "sample_fixed", "sample_noise_level",
-    "solve_fibonacci", "solve_linear", "train_denoiser", "train_estimator",
-    "training_schedule", "update_noise_schedule",
+    "finite_diff_check", "forward_diffuse", "generate", "init_network",
+    "initial_noise_schedule", "make_denoiser", "make_estimator",
+    "sample_adaptive", "sample_batch", "sample_fixed", "solve_fibonacci",
+    "solve_linear", "train_denoiser", "train_estimator", "training_schedule",
+    "update_noise_schedule",
 ]

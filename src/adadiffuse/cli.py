@@ -112,6 +112,9 @@ def _cmd_solve_schedule(args) -> int:
         )
     text = "\n".join(lines)
     print(text)
+    if schedule.clamped:
+        print(f"projected: no {args.steps}-step {args.family} schedule reaches alpha_bar "
+              f"{args.alpha_bar!r}; it ends at {schedule.alpha_bar(args.steps)!r}", file=sys.stderr)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(text + "\n")

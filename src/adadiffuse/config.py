@@ -117,7 +117,6 @@ _KEYS = {
     "dataset.components": ("dataset", "components", _INT),
     "dataset.radius": ("dataset", "radius", _FLOAT),
     "dataset.sigma": ("dataset", "sigma", _FLOAT),
-    "dataset.weights": ("dataset", "weights", _FLOATS),
     "dataset.wave_length": ("dataset", "wave_length", _INT),
     "dataset.freq_lo": ("dataset", "freq_lo", _FLOAT),
     "dataset.freq_hi": ("dataset", "freq_hi", _FLOAT),
@@ -165,9 +164,7 @@ def _encoded(cfg: RunConfig) -> dict[str, str]:
     out = {}
     for key, (path, name, (_, encode)) in _FIELDS.items():
         holder = reduce(getattr, path, cfg)
-        value = getattr(holder, name)
-        if value is not None:  # unset dataset.weights: equal weights
-            out[key] = encode(value, holder)
+        out[key] = encode(getattr(holder, name), holder)
     return out
 
 
@@ -195,9 +192,8 @@ def parse_text(text: str) -> RunConfig:
     changes: dict[tuple[str, ...], dict] = {}
     try:
         for key, (path, name, (decode, _)) in _FIELDS.items():
-            if key in raw:
-                fields = changes.setdefault(path, {})
-                fields[name] = decode(raw[key], fields)
+            fields = changes.setdefault(path, {})
+            fields[name] = decode(raw[key], fields)
         cfg = RunConfig()
         # innermost objects first: each replace validates one whole object
         for path in sorted(changes, key=len, reverse=True):

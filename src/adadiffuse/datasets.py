@@ -22,7 +22,6 @@ class DatasetSpec:
     components: int = 8
     radius: float = 2.0
     sigma: float = 0.1
-    weights: tuple[float, ...] | None = None
     # sinusoid_1d
     wave_length: int = 64
     freq_lo: float = 1.0
@@ -40,12 +39,6 @@ class DatasetSpec:
                 raise ValueError("mixture needs components >= 1 and a finite sigma > 0")
             if not np.isfinite(self.radius):
                 raise ValueError(f"mixture radius must be finite, got {self.radius}")
-            if self.weights is not None:
-                if len(self.weights) != self.components:
-                    raise ValueError("weights length must equal components")
-                w = np.asarray(self.weights, dtype=np.float64)
-                if not (np.all(np.isfinite(w)) and np.all(w >= 0) and w.sum() > 0):
-                    raise ValueError("weights must be finite and nonnegative with positive sum")
         else:
             if self.wave_length < 1:
                 raise ValueError(f"wave_length must be >= 1, got {self.wave_length}")
@@ -65,10 +58,7 @@ def _mixture_centers(spec: DatasetSpec) -> np.ndarray:
 
 
 def _mixture_weights(spec: DatasetSpec) -> np.ndarray:
-    if spec.weights is None:
-        return np.full(spec.components, 1.0 / spec.components)
-    w = np.asarray(spec.weights, dtype=np.float64)
-    return w / w.sum()
+    return np.full(spec.components, 1.0 / spec.components)
 
 
 def _mixture_moments(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray]:

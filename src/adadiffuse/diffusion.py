@@ -29,7 +29,7 @@ from .models import Denoiser, Estimator
 from .nn import AdamState, adam_step
 from .schedule import NoiseSchedule, ScheduleFamily
 
-LOG_CLAMP = 1e-7
+AB_CLAMP = 1e-7  # an alpha-bar is clipped into (0, 1) before a log
 
 # Training steps whose inputs are drawn and corrupted together. Per step
 # these are about 40 small numpy calls; batched over 16 steps, run back to
@@ -84,13 +84,8 @@ def forward_diffuse(y0: np.ndarray, alpha_bar, epsilon: np.ndarray) -> np.ndarra
     return np.sqrt(ab) * y0 + np.sqrt(1.0 - ab) * epsilon
 
 
-def sample_noise_level(rng: np.random.Generator, schedule: NoiseSchedule):
-    """One (stage, sqrt_alpha_bar) draw: stage uniform, level uniform in its interval."""
-    s, a = sample_noise_levels(rng, schedule, 1)
-    return int(s[0]), float(a[0])
-
-
 def sample_noise_levels(rng: np.random.Generator, schedule: NoiseSchedule, size: int):
+    """size (stage, sqrt_alpha_bar) draws: stage uniform, level uniform in its interval."""
     s = rng.integers(1, len(schedule) + 1, size=size)
     a = rng.uniform(schedule.boundaries[s], schedule.boundaries[s - 1])
     return s, a
@@ -147,8 +142,8 @@ def denoiser_train_step(denoiser: Denoiser, opt: AdamState, x: np.ndarray,
 
 def _loss_and_gap(alpha_bar_true, alpha_bar_hat):
     """The estimator loss, the clipped log-gap it is taken over, and clipped ab_hat."""
-    t = np.clip(np.asarray(alpha_bar_true, dtype=np.float64), LOG_CLAMP, 1.0 - LOG_CLAMP)
-    h = np.clip(np.asarray(alpha_bar_hat, dtype=np.float64), LOG_CLAMP, 1.0 - LOG_CLAMP)
+    t = np.clip(np.asarray(alpha_bar_true, dtype=np.float64), AB_CLAMP, 1.0 - AB_CLAMP)
+    h = np.clip(np.asarray(alpha_bar_hat, dtype=np.float64), AB_CLAMP, 1.0 - AB_CLAMP)
     gap = np.log1p(-t) - np.log1p(-h)
     return float(np.sqrt(np.mean(gap**2))), gap, h
 
@@ -173,7 +168,7 @@ def estimator_train_step(estimator: Estimator, opt: AdamState, y_s: np.ndarray,
     m = pred.size
     if loss > 0.0:
         grad = gap / (m * loss * (1.0 - h))
-        grad[(pred < LOG_CLAMP) | (pred > 1.0 - LOG_CLAMP)] = 0.0
+        grad[(pred < AB_CLAMP) | (pred > 1.0 - AB_CLAMP)] = 0.0
     else:
         grad = np.zeros(m)
     adam_step(estimator.net, estimator.net.backward(grad[:, None]), opt)

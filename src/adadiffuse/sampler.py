@@ -41,14 +41,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diffusion import AB_CLAMP
 from .errors import ScheduleError, ShapeError
 from .models import Denoiser, Estimator, _require_continuous
 from .nn import check_finite
 from .schedule import NoiseSchedule, ScheduleFamily, _project
 
 UPDATE_RULES = ("ddpm", "ddim")
-
-AB_CLAMP = 1e-7  # estimator outputs clipped into (0,1) before solving
 
 
 @dataclass(frozen=True)

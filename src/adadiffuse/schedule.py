@@ -20,9 +20,9 @@ first projected, so that no gamma is clipped.
 Each solver formula has one vectorized implementation that the sampler
 runs per chain: _ClosedForm (one expression for both forms, four
 coefficients per chain), _solve_batch (each form's coefficients) and
-_project (the target projection and the choice of form). solve_linear,
-solve_fibonacci and update_noise_schedule are their batch-1 views.
-index_for_level is the level-to-interval lookup.
+_project (the target projection and the choice of form). solve_linear
+and solve_fibonacci are raw batch-1 views of _solve_batch, and
+update_noise_schedule is the batch-1 view of _project.
 """
 from __future__ import annotations
 
@@ -202,34 +202,33 @@ def _check_target(alpha_bar_hat: float, n: int) -> None:
         raise ScheduleError(f"target alpha_bar {alpha_bar_hat} outside (0, 1)")
 
 
-def _solve_one(alpha_bar_hat: float, n: int, kind: str, beta0: float, clamp: bool) -> np.ndarray:
+def _solve_one(alpha_bar_hat: float, n: int, kind: str, beta0: float) -> np.ndarray:
     _check_target(alpha_bar_hat, n)
-    raw = _solve_batch(-np.log([alpha_bar_hat]), n, kind, beta0).gamma(np.arange(n))
-    return np.clip(raw, GAMMA_FLOOR, GAMMA_CEIL) if clamp else raw
+    return _solve_batch(-np.log([alpha_bar_hat]), n, kind, beta0).gamma(np.arange(n))
 
 
-def solve_linear(alpha_bar_hat: float, n: int, beta0: float, clamp: bool = True) -> np.ndarray:
+def solve_linear(alpha_bar_hat: float, n: int, beta0: float) -> np.ndarray:
     """Arithmetic-progression gammas: gamma_i = beta0 + i*x, i = 0..n-1.
 
     The common difference is x = -2*(log(alpha_bar_hat) + n*beta0)/(n*(n-1)),
     which makes the sum equal -log(alpha_bar_hat) exactly. n = 1 returns
-    [-log(alpha_bar_hat)] regardless of beta0. With clamp=True (default)
-    entries are clipped into [GAMMA_FLOOR, GAMMA_CEIL], the gammas of the
-    beta bounds; pass clamp=False to inspect the raw solution.
+    [-log(alpha_bar_hat)] regardless of beta0. The gammas are raw: for a
+    target no form reaches they leave [GAMMA_FLOOR, GAMMA_CEIL], the gammas
+    of the beta bounds. update_noise_schedule is the solve that projects.
     """
-    return _solve_one(alpha_bar_hat, n, "linear", beta0, clamp)
+    return _solve_one(alpha_bar_hat, n, "linear", beta0)
 
 
-def solve_fibonacci(alpha_bar_hat: float, n: int, beta0: float, clamp: bool = True) -> np.ndarray:
+def solve_fibonacci(alpha_bar_hat: float, n: int, beta0: float) -> np.ndarray:
     """Fibonacci-recurrence gammas via the golden-ratio closed form.
 
     For n >= 3, gamma_i = A*phi**i + B*phi'**i with phi, phi' the roots of
     x^2 - x - 1, where (A, B) solve {A + B = beta0; sum gamma_i =
     -log(alpha_bar_hat)} using geometric-series sums. n = 1 is as in
-    solve_linear; n = 2 pins beta0 and sets gamma_1 from the sum. clamp is
-    as in solve_linear.
+    solve_linear; n = 2 pins beta0 and sets gamma_1 from the sum. The
+    gammas are raw, as in solve_linear.
     """
-    return _solve_one(alpha_bar_hat, n, "fibonacci", beta0, clamp)
+    return _solve_one(alpha_bar_hat, n, "fibonacci", beta0)
 
 
 def update_noise_schedule(alpha_bar_hat: float, n: int, family: ScheduleFamily) -> NoiseSchedule:
@@ -243,14 +242,3 @@ def update_noise_schedule(alpha_bar_hat: float, n: int, family: ScheduleFamily) 
     form, moved = _project(np.array([alpha_bar_hat]), n, family.kind, family.beta0)
     k = np.arange(1, n + 1, dtype=np.float64)
     return NoiseSchedule._from_rows(form.beta(k), form.alpha_bar(k), moved)
-
-
-def index_for_level(alpha_bar_hat: float, schedule: NoiseSchedule) -> int:
-    """Interval index t >= 1 of schedule with sqrt(alpha_bar_hat) in
-    [l_t, l_{t-1}]; levels above 1 or below l_N clamp to the first/last
-    interval, and a NaN or negative level is rejected."""
-    if not alpha_bar_hat >= 0.0:
-        raise ScheduleError(f"alpha_bar {alpha_bar_hat} is NaN or negative")
-    # the boundaries decrease: the first t with l_t <= sqrt(alpha_bar_hat)
-    t = np.searchsorted(-schedule.boundaries, -np.sqrt(float(alpha_bar_hat)), side="left")
-    return int(np.clip(t, 1, len(schedule)))

@@ -51,7 +51,7 @@ def test_criterion_1_schedule_solver_fidelity():
     worst_sum, worst_rec, worst_prod = 0.0, 0.0, 0.0
     for ab, n, b0 in SOLVER_GRID:
         for solver in (solve_linear, solve_fibonacci):
-            raw = solver(ab, n, b0, clamp=False)
+            raw = solver(ab, n, b0)
             worst_sum = max(worst_sum, abs(raw.sum() + math.log(ab)))
             if solver is solve_fibonacci and n >= 3:
                 worst_rec = max(

@@ -81,6 +81,23 @@ def test_solve_schedule_prints_linear_solution(capsys):
     x = -(math.log(0.8) + 0.02)
     assert got[1][1] == pytest.approx(-math.expm1(-(0.01 + x)), rel=1e-12)
     assert got[1][2] == pytest.approx(0.8, rel=1e-12)
+    assert capsys.readouterr().err == ""
+
+
+def test_solve_schedule_reports_a_projected_target(capsys):
+    rc = main([
+        "solve-schedule", "--family", "linear",
+        "--alpha-bar", "1e-4", "--steps", "2", "--beta0", "1e-4",
+    ])
+    assert rc == 0
+    captured = capsys.readouterr()
+    sched = update_noise_schedule(1e-4, 2, ScheduleFamily("linear", 1e-4))
+    assert sched.clamped == 1
+    last = float(captured.out.strip().splitlines()[-1].split(",")[2])
+    assert last == sched.alpha_bars[-1] == pytest.approx(9.999e-4, rel=1e-4)
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert "projected" in err[0] and "0.0001" in err[0] and repr(last) in err[0]
 
 
 @pytest.mark.parametrize("flag,value,named", [

@@ -105,10 +105,9 @@ def test_empty_file_gives_the_default_config():
     assert parse_text("") == RunConfig()
 
 
-def test_dataset_spec_round_trips_weights():
-    cfg = parse_text("dataset.components = 2\ndataset.weights = 0.25,0.75\n")
-    assert cfg.dataset.weights == (0.25, 0.75)
-    assert parse_text(to_text(cfg)) == cfg
+def test_dataset_weights_is_an_unknown_key():
+    with pytest.raises(ConfigError, match="unknown key 'dataset.weights'"):
+        parse_text("dataset.weights = 0.5,0.5\n")
 
 
 def test_load_config_missing_file(tmp_path):

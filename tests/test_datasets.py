@@ -66,14 +66,6 @@ def test_held_out_size_zero_is_not_the_default():
         held_out(spec, size=0)
 
 
-def test_custom_weights_validated():
-    with pytest.raises(ValueError):
-        DatasetSpec(components=8, weights=(1.0, 2.0))
-    spec = DatasetSpec(components=2, weights=(1.0, 0.0), size=64, seed=1, radius=1.0)
-    batch = generate(spec)
-    assert np.all(np.isfinite(batch))
-
-
 @settings(max_examples=20, deadline=None)
 @given(
     kind=st.sampled_from(["gaussian_mixture_2d", "sinusoid_1d"]),

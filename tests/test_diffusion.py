@@ -14,7 +14,6 @@ from adadiffuse.diffusion import (
     estimator_train_step,
     forward_diffuse,
     make_noisy_batch,
-    sample_noise_level,
     sample_noise_levels,
     train_denoiser,
     train_estimator,
@@ -53,18 +52,17 @@ def test_forward_diffuse_rejects_nan_alpha_bar(ab):
 
 def test_sample_noise_level_single_interval():
     sched = NoiseSchedule.from_betas([0.75])  # l = 1, 0.5
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        s, a = sample_noise_level(rng, sched)
-        assert s == 1
-        assert 0.5 <= a <= 1.0
+    s, a = sample_noise_levels(np.random.default_rng(0), sched, 200)
+    assert np.all(s == 1)
+    assert np.all((0.5 <= a) & (a <= 1.0))
 
 
 def test_sample_noise_level_deterministic_under_seed():
     sched = training_schedule(50)
-    draws1 = [sample_noise_level(np.random.default_rng(42), sched) for _ in range(5)]
-    draws2 = [sample_noise_level(np.random.default_rng(42), sched) for _ in range(5)]
-    assert draws1 == draws2
+    s1, a1 = sample_noise_levels(np.random.default_rng(42), sched, 5)
+    s2, a2 = sample_noise_levels(np.random.default_rng(42), sched, 5)
+    np.testing.assert_array_equal(s1, s2)
+    np.testing.assert_array_equal(a1, a2)
 
 
 def test_sample_noise_level_interval_frequencies():

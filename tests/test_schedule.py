@@ -15,7 +15,6 @@ from adadiffuse.schedule import (
     PHI_CONJ,
     NoiseSchedule,
     ScheduleFamily,
-    index_for_level,
     solve_fibonacci,
     solve_linear,
     update_noise_schedule,
@@ -94,8 +93,22 @@ def test_default_clip_is_in_gamma_and_keeps_the_target():
     assert lin[-1] > 0.999 and fib[-1] > 0.999
     assert lin.sum() == pytest.approx(-math.log(0.001), abs=1e-12)
     assert fib.sum() == pytest.approx(-math.log(0.01), abs=1e-12)
-    # beyond GAMMA_CEIL the clip still binds
-    assert solve_linear(1e-4, 2, 1e-4)[-1] == GAMMA_CEIL
+    # beyond GAMMA_CEIL the raw gamma passes the ceiling and still meets the target
+    raw = solve_linear(1e-4, 2, 1e-4)
+    assert raw[-1] > GAMMA_CEIL
+    assert raw.sum() == pytest.approx(-math.log(1e-4), abs=1e-12)
+
+
+# 1e-4 in 2 steps needs a gamma past GAMMA_CEIL; 0.9999995 in 4 steps from
+# beta0 = 1e-4 needs gammas below GAMMA_FLOOR (negative ones)
+@pytest.mark.parametrize("ab,n", [(1e-4, 2), (0.9999995, 4)])
+def test_raw_solve_meets_an_unreachable_target_that_the_schedule_projects(ab, n):
+    raw = solve_linear(ab, n, 1e-4)
+    assert not np.all((GAMMA_FLOOR <= raw) & (raw <= GAMMA_CEIL))
+    assert abs(raw.sum() + math.log(ab)) <= 1e-12
+    sched = update_noise_schedule(ab, n, ScheduleFamily("linear", 1e-4))
+    assert sched.clamped == 1
+    assert sched.alpha_bars[-1] != pytest.approx(ab, rel=1e-6)
 
 
 def test_solve_fibonacci_small_step_counts():
@@ -112,7 +125,7 @@ def test_solve_fibonacci_six_steps_against_independent_solver():
     A = (b0 * g(PHI_CONJ) - (-math.log(ab))) / det
     B = b0 - A
     expected = A * PHI ** np.arange(n) + B * PHI_CONJ ** np.arange(n)
-    got = solve_fibonacci(ab, n, b0, clamp=False)
+    got = solve_fibonacci(ab, n, b0)
     np.testing.assert_allclose(got, expected, atol=1e-13)
     assert abs(got.sum() - math.log(2)) <= 1e-10
     assert np.max(np.abs(got[2:] - got[1:-1] - got[:-2])) <= 1e-12
@@ -120,7 +133,7 @@ def test_solve_fibonacci_six_steps_against_independent_solver():
 
 @pytest.mark.parametrize("ab,n,b0", SOLVER_GRID)
 def test_linear_raw_solution_identities(ab, n, b0):
-    raw = solve_linear(ab, n, b0, clamp=False)
+    raw = solve_linear(ab, n, b0)
     assert abs(raw.sum() + math.log(ab)) <= 1e-10
     if n >= 2:
         diffs = np.diff(raw)
@@ -130,7 +143,7 @@ def test_linear_raw_solution_identities(ab, n, b0):
 
 @pytest.mark.parametrize("ab,n,b0", SOLVER_GRID)
 def test_fibonacci_raw_solution_identities(ab, n, b0):
-    raw = solve_fibonacci(ab, n, b0, clamp=False)
+    raw = solve_fibonacci(ab, n, b0)
     assert abs(raw.sum() + math.log(ab)) <= 1e-10
     if n >= 3:
         assert np.max(np.abs(raw[2:] - raw[1:-1] - raw[:-2])) <= 1e-12
@@ -142,7 +155,7 @@ def test_fibonacci_raw_solution_identities(ab, n, b0):
 @pytest.mark.parametrize("ab", [0.9, 0.5, 0.1])
 @pytest.mark.parametrize("n", [3, 6, 10, 25])
 def test_product_tracks_target_in_taylor_regime(solver, ab, n):
-    betas = solver(ab, n, 1e-4, clamp=False)
+    betas = solver(ab, n, 1e-4)
     if np.max(betas) <= 1e-2 and np.min(betas) > 0:
         assert np.prod(1 - betas) == pytest.approx(ab, rel=0.01)
 
@@ -169,38 +182,6 @@ def test_update_noise_schedule_near_clean_target_clamps(kind):
     assert np.all(sched.betas >= 1e-6)
     assert sched.clamped == 1  # the target was projected
     assert np.all(np.isfinite(sched.alpha_bars))
-
-
-def test_index_for_level_trivial_cases():
-    sched = NoiseSchedule.from_betas([0.19, 1.0 - 0.25 / 0.81])  # l = 1, 0.9, 0.5
-    assert index_for_level(1.0, sched) == 1
-    assert index_for_level(0.49, sched) == 2  # sqrt(0.49) = 0.7 in [0.5, 0.9]
-    assert index_for_level(0.999999, sched) == 1
-    assert index_for_level(0.01, sched) == 2  # below l_N clamps to N
-    assert index_for_level(0.0, sched) == 2
-    assert index_for_level(1.5, sched) == 1  # above 1 clamps to 1
-    assert index_for_level(math.inf, sched) == 1
-    for bad in (math.nan, -0.5, -math.inf):
-        with pytest.raises(ScheduleError):
-            index_for_level(bad, sched)
-
-
-def test_index_for_level_matches_linear_scan():
-    rng = np.random.default_rng(17)
-    sched = NoiseSchedule.from_betas(rng.uniform(1e-4, 0.05, size=50))
-    l = sched.boundaries
-    for level in rng.uniform(0.0, 1.0, size=1000):
-        ab = level**2
-        t = index_for_level(ab, sched)
-        # linear-scan reference
-        scan = 50
-        for s in range(1, 51):
-            if l[s] <= level <= l[s - 1]:
-                scan = s
-                break
-        else:
-            scan = 1 if level > l[1] else 50
-        assert t == scan
 
 
 def test_noise_schedule_invariants_enforced():
@@ -244,7 +225,7 @@ def _feasible_targets(solve, m, beta0):
     the raw closed form lies in [GAMMA_FLOOR, GAMMA_CEIL] (gamma_0 = T at m = 1,
     else beta0), empty if lo > hi; each gamma_i is affine in T, so two solves
     give its line."""
-    g1, g2 = (solve(math.exp(-t), m, beta0, clamp=False) for t in (1.0, 2.0))
+    g1, g2 = (solve(math.exp(-t), m, beta0) for t in (1.0, 2.0))
     rows = range(1, m) if m > 1 else range(1)
     lo = max(1.0 + (GAMMA_FLOOR - g1[i]) / (g2[i] - g1[i]) for i in rows)
     hi = min(1.0 + (GAMMA_CEIL - g1[i]) / (g2[i] - g1[i]) for i in rows)
