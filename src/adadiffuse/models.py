@@ -59,7 +59,12 @@ class Denoiser:
             )
 
     def conditioned_input(self, y: np.ndarray, cond: np.ndarray) -> np.ndarray:
-        """Rows [y, cond, embedding(cond)]; cond is a scalar or one value per row."""
+        """Rows [y, cond, embedding(cond)]; cond is a scalar or one value per row.
+
+        A level that all rows share (cond of shape () or (1,), as in every
+        fixed step) is embedded once and broadcast into the rows; the bits
+        are those of embedding it per row.
+        """
         y = np.atleast_2d(np.asarray(y, dtype=np.float64))
         cond = np.asarray(cond, dtype=np.float64)
         batch = y.shape[0]
@@ -72,8 +77,8 @@ class Denoiser:
                 f"cond shape {cond.shape} does not match batch {batch} "
                 f"(data_dim {self.data_dim}); expected a scalar or ({batch},)"
             )
+        emb = np.broadcast_to(sinusoidal_embedding(cond.reshape(-1)), (batch, EMBED_DIM))
         cond = np.broadcast_to(cond, (batch,))
-        emb = sinusoidal_embedding(cond)
         return np.concatenate([y, cond[:, None], emb], axis=1)
 
     def predict(self, y: np.ndarray, cond) -> np.ndarray:

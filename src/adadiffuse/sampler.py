@@ -18,9 +18,11 @@ schedule in force as k -> alpha_bar_k and k -> beta_k: the start
 schedule's table (the family's ScheduleFamily.fixed), shared by all
 chains, or the last re-solve's closed form, four coefficients per chain
 (each chain's Fibonacci recurrence or linear form), so steps and
-re-solves are O(batch). Both networks run through
-the models' predict (Network.apply: float32 layers, no activation cache,
-no checks); the engine's own arithmetic stays float64. It checks the
+re-solves are O(batch). A re-solve reads its interval ends, which depend
+on the remaining step count only, from a table the run builds once
+(_interval_ends). Both networks run through the models' predict
+(Network.apply: float32 layers, no activation cache, no checks); the
+engine's own arithmetic stays float64. It checks the
 estimate and the state once per step, so a non-finite value, including a
 state beyond float32's range that the networks turned into inf, raises
 at the step that made it. A step record holds the beta_n and alpha_bar_n
@@ -45,7 +47,7 @@ from .diffusion import AB_CLAMP
 from .errors import ScheduleError, ShapeError
 from .models import Denoiser, Estimator, _require_continuous
 from .nn import check_finite
-from .schedule import NoiseSchedule, ScheduleFamily, _project
+from .schedule import NoiseSchedule, ScheduleFamily, _interval_ends, _project
 
 UPDATE_RULES = ("ddpm", "ddim")
 
@@ -190,6 +192,9 @@ def _reverse_engine(
     abar_table = np.concatenate([[1.0], schedule.alpha_bars])
     abar_of = lambda k: abar_table[k:k + 1]
     beta_of = lambda k: schedule.betas[k - 1:k]
+    kind, beta0 = cfg.family.kind, cfg.family.beta0
+    if adjust:  # row n - 1: the feasible targets of a re-solve for n remaining steps
+        ends = _interval_ends(np.arange(1, n_steps), kind, beta0)
 
     trace: list[StepRecord] = []
     clamp_events = 0
@@ -216,7 +221,7 @@ def _reverse_engine(
             rec.alpha_hat = float(ab_hat[0])
             if n > 1:
                 guarded = np.maximum(ab_hat, abar_prev)  # toward less noise only
-                form, n_projected = _project(guarded, n - 1, cfg.family.kind, cfg.family.beta0)
+                form, n_projected = _project(guarded, n - 1, kind, beta0, ends[n - 2])
                 abar_of, beta_of = form.alpha_bar, form.beta
                 clamp_events += n_projected
 

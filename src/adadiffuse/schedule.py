@@ -19,10 +19,11 @@ first projected, so that no gamma is clipped.
 
 Each solver formula has one vectorized implementation that the sampler
 runs per chain: _ClosedForm (one expression for both forms, four
-coefficients per chain), _solve_batch (each form's coefficients) and
-_project (the target projection and the choice of form). solve_linear
-and solve_fibonacci are raw batch-1 views of _solve_batch, and
-update_noise_schedule is the batch-1 view of _project.
+coefficients per chain), _solve_batch (each form's coefficients),
+_interval_ends (each step count's feasible targets, one vectorized table
+per run) and _project (the target projection and the choice of form).
+solve_linear and solve_fibonacci are raw batch-1 views of _solve_batch,
+and update_noise_schedule is the batch-1 view of _project.
 """
 from __future__ import annotations
 
@@ -124,17 +125,25 @@ class _ClosedForm(NamedTuple):
     """gamma_i = c + d*i + e*PHI**i + f*PHI_CONJ**i, one (c, d, e, f) per
     chain: the linear form has e = f = 0, the Fibonacci form c = d = 0. Step
     k reads beta_k = -expm1(-gamma_{k-1}) and alpha_bar_k =
-    exp(-sum_{i<k} gamma_i), each sum in closed form. PHI's powers stop at
-    _PHI_POW_MAX, so a zero e stays zero at any step count."""
+    exp(-sum_{i<k} gamma_i), each sum in closed form. A linear form (e and f
+    the scalar zeros) is read without the phi terms, with the bits of the
+    four-term expression that a Fibonacci or mixed (np.where) form takes.
+    PHI's powers stop at _PHI_POW_MAX, so a zero e stays zero at any step
+    count."""
 
     c: np.ndarray | float
     d: np.ndarray | float
     e: np.ndarray | float = 0.0
     f: np.ndarray | float = 0.0
 
-    # the d term comes last: a linear form's other terms are scalars, so its
-    # per-step reads cost the array operations of c + d*i alone
+    @property
+    def linear(self) -> bool:  # a per-chain np.where batch holds arrays, even of zeros
+        return not isinstance(self.e, np.ndarray) and self.e == 0.0 == self.f
+
+    # the d term comes last, so the linear read is the four-term sum's bits
     def gamma(self, i):
+        if self.linear:
+            return self.c + self.d * i
         phi_i = np.power(PHI, np.minimum(i, _PHI_POW_MAX))
         return self.c + self.e * phi_i + self.f * np.power(PHI_CONJ, i) + self.d * i
 
@@ -143,9 +152,23 @@ class _ClosedForm(NamedTuple):
         return np.clip(-np.expm1(-self.gamma(k - 1)), BETA_FLOOR, BETA_CEIL)
 
     def alpha_bar(self, k):
+        d_sum = self.d * (k * (k - 1) / 2)
+        if self.linear:
+            return np.exp(-(self.c * k + d_sum))
         phi_sum = self.e * _geo(PHI, np.minimum(k, _PHI_POW_MAX))
-        return np.exp(-(self.c * k + phi_sum + self.f * _geo(PHI_CONJ, k)
-                        + self.d * (k * (k - 1) / 2)))
+        return np.exp(-(self.c * k + phi_sum + self.f * _geo(PHI_CONJ, k) + d_sum))
+
+
+def _linear_form(target, n, beta0: float) -> _ClosedForm:
+    """gamma_0 = beta0 and an arithmetic progression summing to target; n >= 2."""
+    return _ClosedForm(beta0, 2.0 * (target - n * beta0) / (n * (n - 1)))
+
+
+def _fibonacci_form(target, n, beta0: float) -> _ClosedForm:
+    """gamma_0 = beta0 and the recurrence summing to target; n >= 3."""
+    g, g_conj = _geo(PHI, n), _geo(PHI_CONJ, n)
+    a = (target - beta0 * g_conj) / (g - g_conj)
+    return _ClosedForm(0.0, 0.0, a, beta0 - a)
 
 
 def _solve_batch(target: np.ndarray, n: int, kind: str, beta0: float) -> _ClosedForm:
@@ -154,37 +177,54 @@ def _solve_batch(target: np.ndarray, n: int, kind: str, beta0: float) -> _Closed
     arithmetic progression (linear; fibonacci at n = 2) or the recurrence."""
     if n == 1:
         return _ClosedForm(target, 0.0)
-    if kind == "linear" or n == 2:
-        return _ClosedForm(beta0, 2.0 * (target - n * beta0) / (n * (n - 1)))
-    g, g_conj = _geo(PHI, n), _geo(PHI_CONJ, n)
-    a = (target - beta0 * g_conj) / (g - g_conj)
-    return _ClosedForm(0.0, 0.0, a, beta0 - a)
+    return (_linear_form if kind == "linear" or n == 2 else _fibonacci_form)(target, n, beta0)
 
 
-def _project(ab_hat: np.ndarray, n: int, kind: str, beta0: float) -> tuple[_ClosedForm, int]:
-    """The remaining n-step closed forms for a batch of targets, and how many
-    targets no form of the family meets. Each form has an interval of
-    T = -log(alpha_bar_hat) where every gamma lies in [GAMMA_FLOOR,
-    GAMMA_CEIL]; a target outside the union of the family's intervals is
-    projected into it, and then each chain takes the Fibonacci recurrence
-    if its T lies in that form's interval, else the linear form.
+def _interval_ends(ns: np.ndarray, kind: str, beta0: float) -> np.ndarray:
+    """Row (lo, hi, f_lo, f_hi) for each remaining step count in ns. Each
+    form has an interval of T = -log(alpha_bar_hat) where every gamma lies
+    in [GAMMA_FLOOR, GAMMA_CEIL]: [f_lo, f_hi] is the Fibonacci one, empty
+    (f_lo > f_hi) where the recurrence takes no chain, and [lo, hi] its
+    union with the linear one. The ends depend on (n, kind, beta0) only, so
+    a sampler run builds its table once, in one vectorized call.
 
-    Each gamma_i is affine in T. Linear gammas run from beta0 to gamma_{n-1},
-    which sets both ends, except that gamma_1 sets the floor end when beta0
-    lies below GAMMA_FLOOR; Fibonacci gammas grow along i, so gamma_1 sets
-    the floor end. The Fibonacci interval is empty past some n (FIB_REACH at
-    beta0 = 1e-6, 17 at 1e-2), and where it is not it overlaps the linear
-    one, so the union is one interval.
+    Each gamma_i is affine in T, so the forms at T = 0 and 1 give its line.
+    Linear gammas run from beta0 to gamma_{n-1}, which sets both ends,
+    except that gamma_1 sets the floor end when beta0 lies below
+    GAMMA_FLOOR; at n = 1 the one gamma is T. Fibonacci gammas grow along
+    i, so gamma_1 sets the floor end. The Fibonacci interval is empty past
+    some n (FIB_REACH at beta0 = 1e-6, 17 at 1e-2), and where it is not it
+    overlaps the linear one, so the union is one interval.
     """
-    def ends(kind, floor_row):  # T at gamma_floor_row = GAMMA_FLOOR, gamma_{n-1} = GAMMA_CEIL
-        rows = np.array([[floor_row], [n - 1]])
-        g = _solve_batch(np.array([0.0, 1.0]), n, kind, beta0).gamma(rows)
-        return (np.array([GAMMA_FLOOR, GAMMA_CEIL]) - g[:, 0]) / (g[:, 1] - g[:, 0])
+    def ends(form, n, floor_row):  # T at gamma_floor_row = GAMMA_FLOOR, gamma_{n-1} = GAMMA_CEIL
+        rows = np.concatenate(np.broadcast_arrays(floor_row, n - 1), axis=1)
+        g = form(np.array([0.0, 1.0]), n, beta0).gamma(rows)
+        return (np.array([GAMMA_FLOOR, GAMMA_CEIL]) - g[..., 0]) / (g[..., 1] - g[..., 0])
 
-    lo, hi = ends("linear", 1 if beta0 < GAMMA_FLOOR else n - 1)
-    f_lo, f_hi = ends(kind, 1) if kind == "fibonacci" and 2 < n <= FIB_REACH else (np.inf, -np.inf)
-    if f_lo <= f_hi:
-        lo, hi = min(lo, f_lo), max(hi, f_hi)
+    ns = np.asarray(ns)
+    n = ns[:, None, None]
+    out = np.empty((ns.size, 4))
+    out[:] = GAMMA_FLOOR, GAMMA_CEIL, np.inf, -np.inf
+    at = ns > 1
+    out[at, :2] = ends(_linear_form, n[at], 1 if beta0 < GAMMA_FLOOR else n[at] - 1)
+    if kind == "fibonacci":
+        at = (2 < ns) & (ns <= FIB_REACH)
+        out[at, 2:] = ends(_fibonacci_form, n[at], 1)
+        fib = out[:, 2] <= out[:, 3]
+        out[fib, 0] = np.minimum(out[fib, 0], out[fib, 2])
+        out[fib, 1] = np.maximum(out[fib, 1], out[fib, 3])
+    return out
+
+
+def _project(ab_hat: np.ndarray, n: int, kind: str, beta0: float,
+             ends: np.ndarray) -> tuple[_ClosedForm, int]:
+    """The remaining n-step closed forms for a batch of targets, and how many
+    targets no form of the family meets. ends is n's row of _interval_ends:
+    a target T = -log(alpha_bar_hat) outside [lo, hi] is projected into it,
+    and then each chain takes the Fibonacci recurrence if its T lies in
+    [f_lo, f_hi], else the linear form.
+    """
+    lo, hi, f_lo, f_hi = ends
     target = -np.log(ab_hat)
     moved = np.count_nonzero(target < lo) + np.count_nonzero(target > hi)
     target = np.clip(target, lo, hi)
@@ -239,6 +279,7 @@ def update_noise_schedule(alpha_bar_hat: float, n: int, family: ScheduleFamily) 
     rows have the bits the sampler's re-solve gives each chain.
     """
     _check_target(alpha_bar_hat, n)
-    form, moved = _project(np.array([alpha_bar_hat]), n, family.kind, family.beta0)
+    ends = _interval_ends(np.array([n]), family.kind, family.beta0)[0]
+    form, moved = _project(np.array([alpha_bar_hat]), n, family.kind, family.beta0, ends)
     k = np.arange(1, n + 1, dtype=np.float64)
     return NoiseSchedule._from_rows(form.beta(k), form.alpha_bar(k), moved)

@@ -84,3 +84,33 @@ def test_predict_leaves_the_network_cache_as_it_found_it():
         cache = model.net._cache
         call()
         assert model.net._cache is cache
+
+
+def _per_row_input(y, c):
+    # the conditioned rows built the per-row way: one embedding per row
+    return np.concatenate([y, c[:, None], sinusoidal_embedding(c)], axis=1)
+
+
+@pytest.mark.parametrize("batch", [1, 7, 512])
+@pytest.mark.parametrize("shape", [(), (1,)], ids=["scalar", "one-entry"])
+def test_a_shared_level_is_embedded_with_the_bits_of_the_per_row_formula(batch, shape):
+    # a fixed step passes one level for all rows, which is embedded once
+    den = make_denoiser(2, seed=0)
+    y = np.random.default_rng(batch).standard_normal((batch, 2))
+    for level in (0.0, 0.01, 0.3711, 0.999, 1.0):
+        cond = np.full(shape, level)
+        want = _per_row_input(y, np.full(batch, level))
+        got = den.conditioned_input(y, cond)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert den.predict(y, cond).tobytes() == den.net.apply(want).tobytes()
+
+
+@pytest.mark.parametrize("batch", [1, 7, 512])
+def test_per_row_levels_keep_the_per_row_formula(batch):
+    # training and re-solved chains pass one level per row
+    den = make_denoiser(2, seed=0)
+    rng = np.random.default_rng(batch)
+    y, c = rng.standard_normal((batch, 2)), rng.uniform(0.0, 1.0, batch)
+    want = _per_row_input(y, c)
+    assert den.conditioned_input(y, c).tobytes() == want.tobytes()
+    assert den.predict(y, c).tobytes() == den.net.apply(want).tobytes()

@@ -7,14 +7,19 @@ from hypothesis import strategies as st
 
 from adadiffuse.errors import ScheduleError
 from adadiffuse.schedule import (
+    _PHI_POW_MAX,
     BETA_CEIL,
     BETA_FLOOR,
+    FIB_REACH,
     PHI,
     GAMMA_CEIL,
     GAMMA_FLOOR,
     PHI_CONJ,
     NoiseSchedule,
     ScheduleFamily,
+    _interval_ends,
+    _project,
+    _solve_batch,
     solve_fibonacci,
     solve_linear,
     update_noise_schedule,
@@ -277,3 +282,102 @@ def test_update_noise_schedule_projects_targets_onto_the_feasible_interval(beta0
             g = -np.log1p(-sched.betas)
             residual = g[2:] - g[1:-1] - g[:-2] if fib_lo < projected < fib_hi else np.diff(g, 2)
             assert np.max(np.abs(residual)) <= 1e-9 * g.max() + 1e-12
+
+
+def _four_term(form, k):
+    """beta_k and alpha_bar_k from every term of gamma_i = c + e*PHI**i +
+    f*PHI_CONJ**i + d*i, zero or not, summed in _ClosedForm's order."""
+    c, d, e, f = form
+    geo = lambda r, m: (np.power(r, m) - 1.0) / (r - 1.0)
+    i = k - 1
+    gamma = c + e * np.power(PHI, np.minimum(i, _PHI_POW_MAX)) + f * np.power(PHI_CONJ, i) + d * i
+    beta = np.clip(-np.expm1(-gamma), BETA_FLOOR, BETA_CEIL)
+    alpha_bar = np.exp(-(c * k + e * geo(PHI, np.minimum(k, _PHI_POW_MAX))
+                         + f * geo(PHI_CONJ, k) + d * (k * (k - 1) / 2)))
+    return beta, alpha_bar
+
+
+def _per_call_ends(n, kind, beta0):
+    """(lo, hi, f_lo, f_hi) solved for one n at a time: the scalar reference
+    for _interval_ends's vectorized table."""
+    def ends(kind, floor_row):
+        rows = np.array([[floor_row], [n - 1]])
+        c, d, e, f = _solve_batch(np.array([0.0, 1.0]), n, kind, beta0)
+        g = (c + e * np.power(PHI, np.minimum(rows, _PHI_POW_MAX))
+             + f * np.power(PHI_CONJ, rows) + d * rows)
+        return (np.array([GAMMA_FLOOR, GAMMA_CEIL]) - g[:, 0]) / (g[:, 1] - g[:, 0])
+
+    lo, hi = ends("linear", 1 if beta0 < GAMMA_FLOOR else n - 1)
+    f_lo, f_hi = ends(kind, 1) if kind == "fibonacci" and 2 < n <= FIB_REACH else (np.inf, -np.inf)
+    if f_lo <= f_hi:
+        lo, hi = min(lo, f_lo), max(hi, f_hi)
+    return lo, hi, f_lo, f_hi
+
+
+ENDS_GRID = (1, 2, 3, 17, 18, FIB_REACH, FIB_REACH + 1, 999, 1000)
+
+
+@pytest.mark.parametrize("kind", ["linear", "fibonacci"])
+@pytest.mark.parametrize("beta0", [1e-6, 1e-4, 1e-2])  # 1e-6 lies below GAMMA_FLOOR
+def test_interval_ends_table_has_the_bits_of_the_per_call_ends(kind, beta0):
+    # a 1001-step run's table, and the one-row table update_noise_schedule builds
+    table = _interval_ends(np.arange(1, 1001), kind, beta0)
+    for n in ENDS_GRID:
+        want = np.array(_per_call_ends(n, kind, beta0))
+        assert table[n - 1].tobytes() == want.tobytes(), n
+        assert _interval_ends(np.array([n]), kind, beta0)[0].tobytes() == want.tobytes(), n
+
+
+@pytest.mark.parametrize("kind", ["linear", "fibonacci"])
+@pytest.mark.parametrize("beta0", [1e-6, 1e-4, 1e-2])
+def test_update_noise_schedule_keeps_its_rows_and_clamped_flag(kind, beta0):
+    # the projection with the per-call ends, read through all four terms
+    for n in ENDS_GRID:
+        for ab in (1e-12, 1e-3, 0.3, 0.99, 1.0 - 1e-9):
+            lo, hi, f_lo, f_hi = _per_call_ends(n, kind, beta0)
+            target = -np.log(np.array([ab]))
+            moved = np.count_nonzero(target < lo) + np.count_nonzero(target > hi)
+            target = np.clip(target, lo, hi)
+            form = _solve_batch(target, n, "linear", beta0)
+            if f_lo <= f_hi:
+                fib = (f_lo <= target) & (target <= f_hi)
+                form = tuple(map(np.where, [fib] * 4, _solve_batch(target, n, kind, beta0), form))
+            beta, alpha_bar = _four_term(form, np.arange(1, n + 1, dtype=np.float64))
+            sched = update_noise_schedule(ab, n, ScheduleFamily(kind, beta0))
+            assert sched.betas.tobytes() == beta.tobytes(), (n, ab)
+            assert sched.alpha_bars.tobytes() == alpha_bar.tobytes(), (n, ab)
+            assert sched.clamped == moved, (n, ab)
+
+
+def _assert_reads_are_four_term(form, n):
+    # the sampler reads one int step at a time, update_noise_schedule a float row
+    for k in (*range(n + 1), np.arange(1, n + 1, dtype=np.float64)[:, None]):
+        beta, alpha_bar = _four_term(form, k)
+        assert form.alpha_bar(k).tobytes() == alpha_bar.tobytes(), k
+        if np.all(np.asarray(k) >= 1):
+            assert form.beta(k).tobytes() == beta.tobytes(), k
+
+
+@pytest.mark.parametrize("n", [1, 2, 1000])
+def test_a_linear_form_reads_the_bits_of_the_four_term_expression(n):
+    # three targets, as a three-chain batch; the linear read skips the zero phi terms
+    form = _solve_batch(np.array([0.05, 4.0, 9.0]), n, "linear", 1e-4)
+    assert form.linear
+    _assert_reads_are_four_term(form, n)
+
+
+def test_a_mixed_fibonacci_linear_batch_takes_the_four_term_expression():
+    n, family = 10, ScheduleFamily("fibonacci", 1e-4)
+    ab_hat = np.geomspace(1e-14, 0.9999, 64)  # T from 1e-4 to 32; [f_lo, f_hi] = [0.0056, 17.9]
+    form, _ = _project(ab_hat, n, family.kind, family.beta0,
+                       _interval_ends(np.array([n]), family.kind, family.beta0)[0])
+    assert 0 < np.count_nonzero(form.e) < ab_hat.size  # chains of both forms
+    assert not form.linear
+    _assert_reads_are_four_term(form, n)
+    # a np.where batch in which every chain took the linear form holds arrays of zeros
+    lin = _solve_batch(-np.log(ab_hat), n, "linear", family.beta0)
+    none = np.zeros(ab_hat.size, dtype=bool)
+    fib = _solve_batch(-np.log(ab_hat), n, "fibonacci", family.beta0)
+    mixed = type(form)(*map(np.where, [none] * 4, fib, lin))
+    assert not mixed.linear
+    _assert_reads_are_four_term(mixed, n)
