@@ -132,7 +132,6 @@ _KEYS = {
     "sampler.beta0": ("sampler", "family.beta0", _FLOAT),
     "sampler.update_rule": ("sampler", "update_rule", _STR),
     "sampler.eta": ("sampler", "eta", _FLOAT),
-    "sampler.conditioning": ("sampler", "conditioning_mode", _STR),
     "sampler.seed": ("sampler", "seed", _INT),
     "bench.steps_list": ("bench", "steps_list", _INTS),
     "bench.samples_per_run": ("bench", "samples_per_run", _INT),

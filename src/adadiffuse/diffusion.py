@@ -130,13 +130,13 @@ def denoiser_train_step(denoiser: Denoiser, opt: AdamState, x: np.ndarray,
                         epsilon: np.ndarray) -> float:
     """One L1 noise-prediction step on conditioned input rows x and their
     injected noise; aborts (params untouched) on non-finite loss."""
-    pred = denoiser.net.forward(x)
-    diff = pred - epsilon
+    acts = denoiser.net.forward(x)
+    diff = acts[-1] - epsilon
     loss = float(np.mean(np.abs(diff)))
     if not np.isfinite(loss):
         raise ValueError("non-finite training loss; step aborted")
     grad_out = np.sign(diff) / diff.size
-    adam_step(denoiser.net, denoiser.net.backward(grad_out), opt)
+    adam_step(denoiser.net, denoiser.net.backward(acts, grad_out), opt)
     return loss
 
 
@@ -161,7 +161,8 @@ def _estimator_rows(estimator: Estimator, batch: NoisyBatch):
 def estimator_train_step(estimator: Estimator, opt: AdamState, y_s: np.ndarray,
                          ab_true: np.ndarray) -> float:
     """One log-gap regression step on noisy rows y_s and their alpha-bar."""
-    pred = estimator.net.forward(y_s)[:, 0]
+    acts = estimator.net.forward(y_s)
+    pred = acts[-1][:, 0]
     loss, gap, h = _loss_and_gap(ab_true, pred)
     if not np.isfinite(loss):
         raise ValueError("non-finite training loss; step aborted")
@@ -171,7 +172,7 @@ def estimator_train_step(estimator: Estimator, opt: AdamState, y_s: np.ndarray,
         grad[(pred < AB_CLAMP) | (pred > 1.0 - AB_CLAMP)] = 0.0
     else:
         grad = np.zeros(m)
-    adam_step(estimator.net, estimator.net.backward(grad[:, None]), opt)
+    adam_step(estimator.net, estimator.net.backward(acts, grad[:, None]), opt)
     return loss
 
 

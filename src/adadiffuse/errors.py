@@ -5,10 +5,6 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible with the operation."""
 
 
-class StateError(RuntimeError):
-    """Operation called in the wrong order (e.g. backward before forward)."""
-
-
 class ScheduleError(ValueError):
     """Invalid noise-schedule inputs or a schedule invariant violation."""
 

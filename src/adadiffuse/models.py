@@ -1,17 +1,18 @@
 """Denoiser and noise-level estimator models.
 
-Both are plain MLPs from the nn kernel. The denoiser consumes the state
-vector concatenated with its conditioning signal, the continuous noise
+Both are plain MLPs from the nn kernel and take a batch of state rows
+(n, data_dim); a single state is one row. The denoiser consumes each
+state concatenated with its conditioning signal, the continuous noise
 level sqrt(alpha_bar) (as in WaveGrad, arXiv:2009.00713), plus a 16-dim
 sinusoidal embedding of that scalar. A re-solved schedule asks about
 levels no training stage names, and the continuous level takes any of
 them directly. The estimator consumes the raw state and emits one
-sigmoid-bounded value. predict is the one inference path, used by the
-sampler and the estimator curve: it runs Network.apply, which computes in
-float32 and returns float64 (agreeing with Network.forward to float32
-precision), keeps no activation cache and does not check its output for
-finiteness. Training runs the networks through Network.forward in
-float64 (diffusion.py).
+sigmoid-bounded value per row. predict is the one inference path, used
+by the sampler and the estimator curve: it runs Network.apply, which
+computes in float32 and returns float64 (agreeing with Network.forward's
+output to float32 precision) and does not check its output for
+finiteness. Training runs the networks through Network.forward and
+Network.backward in float64 (diffusion.py).
 """
 from __future__ import annotations
 
@@ -59,19 +60,18 @@ class Denoiser:
             )
 
     def conditioned_input(self, y: np.ndarray, cond: np.ndarray) -> np.ndarray:
-        """Rows [y, cond, embedding(cond)]; cond is a scalar or one value per row.
+        """Rows [y, cond, embedding(cond)] of states y (n, data_dim); cond is
+        a scalar or one value per row.
 
         A level that all rows share (cond of shape () or (1,), as in every
         fixed step) is embedded once and broadcast into the rows; the bits
         are those of embedding it per row.
         """
-        y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+        y = np.asarray(y, dtype=np.float64)
+        if y.ndim != 2 or y.shape[1] != self.data_dim:
+            raise ShapeError(f"state shape {y.shape} is not (batch, data_dim {self.data_dim})")
         cond = np.asarray(cond, dtype=np.float64)
         batch = y.shape[0]
-        if y.ndim != 2 or y.shape[1] != self.data_dim:
-            raise ShapeError(
-                f"state shape {y.shape} is not (batch {batch}, data_dim {self.data_dim})"
-            )
         if cond.shape not in ((), (1,), (batch,)):
             raise ShapeError(
                 f"cond shape {cond.shape} does not match batch {batch} "
@@ -82,10 +82,8 @@ class Denoiser:
         return np.concatenate([y, cond[:, None], emb], axis=1)
 
     def predict(self, y: np.ndarray, cond) -> np.ndarray:
-        """Predicted injected noise for state(s) y at conditioning value cond."""
-        single = np.asarray(y).ndim == 1
-        out = self.net.apply(self.conditioned_input(y, cond))
-        return out[0] if single else out
+        """Predicted injected noise per state row of y at conditioning value(s) cond."""
+        return self.net.apply(self.conditioned_input(y, cond))
 
 
 @dataclass
@@ -101,11 +99,8 @@ class Estimator:
         if self.net.layers[-1].activation != "sigmoid":
             raise ValueError("estimator output must be sigmoid-bounded")
 
-    def predict(self, y: np.ndarray) -> np.ndarray | float:
-        """Estimated alpha-bar per state row; a float for a single state."""
-        y = np.asarray(y, dtype=np.float64)
-        if y.ndim == 1:
-            return float(self.net.apply(y[None, :])[0, 0])
+    def predict(self, y: np.ndarray) -> np.ndarray:
+        """Estimated alpha-bar per state row of y (n, data_dim), shape (n,)."""
         return self.net.apply(y)[:, 0]
 
 

@@ -6,28 +6,34 @@ finite-difference gradient checker. This is all the model machinery the
 denoiser and the noise-level estimator need; there is no general autodiff
 graph and no convolution support.
 
+A Network holds its layers and nothing else, and every call takes a batch
+of rows (n, input_dim). Network.forward is for training and
+finite_diff_check: it runs in float64, checks its input and output, and
+returns the activation list [x, a_1, ..., output] without keeping it.
+Network.backward(acts, grad_out) takes that list, so a gradient depends
+only on its arguments and calls on one network may interleave in any
+order. Network.apply is for inference (the models' predict): the same
+layer code in float32, cast from the float64 parameters on each call,
+with no finiteness checks. It returns float64 that agrees with forward's
+output to float32 precision, |apply - forward| <= 1e-5 + 1e-5 |forward|
+for inputs and activations of order one; a value beyond float32's range
+(about 3.4e38) becomes inf.
+
 The kernel allocates little per step, with the same bits as the plain
 formulas: forward adds each layer's bias and applies its ReLU in place on
 the fresh matmul output, the sigmoid uses no boolean masks, backward
 copies the caller's grad_out once and applies each ReLU slope in place on
-its own gradient (never on the cached activations), and Adam keeps each
-moment in a flat buffer, m and v, that one sequence of in-place ufuncs
-updates. Network.forward is for training and finite_diff_check: it runs
-in float64, checks its input and output and caches activations for
-backward. Network.apply is for inference (the models' predict): the same
-layer code in float32, cast from the float64 parameters on each call,
-with no activation cache and no finiteness checks. It returns float64
-that agrees with forward to float32 precision, |apply - forward| <=
-1e-5 + 1e-5 |forward| for inputs and activations of order one; a value
-beyond float32's range (about 3.4e38) becomes inf.
+its own gradient (never on the activations it was given), and Adam keeps
+each moment in a flat buffer, m and v, that one sequence of in-place
+ufuncs updates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, StateError
+from .errors import ShapeError
 
 ACTIVATIONS = ("identity", "relu", "sigmoid")
 
@@ -114,14 +120,10 @@ def _layer_out(layer: DenseLayer, a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Network:
-    """Feedforward stack of DenseLayers with cached-activation backward.
-
-    Mutating operations (forward caching, parameter updates) are not
-    thread-safe per instance; distinct instances are independent.
-    """
+    """Feedforward stack of DenseLayers; forward returns the activations
+    that backward takes, and the network stores none of them."""
 
     layers: list[DenseLayer]
-    _cache: list | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -143,15 +145,9 @@ class Network:
     def output_dim(self) -> int:
         return self.layers[-1].out_dim
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate the network; caches activations for backward().
-
-        Accepts a single vector (input_dim,) or a batch (n, input_dim).
-        """
+    def forward(self, x: np.ndarray) -> list[np.ndarray]:
+        """Activations [x, a_1, ..., output] of a batch x (n, input_dim), in float64."""
         x = _as_f64(x)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ShapeError(f"input dim {x.shape} incompatible with input_dim {self.input_dim}")
         check_finite(x, "network input")
@@ -159,38 +155,34 @@ class Network:
         for layer in self.layers:
             acts.append(_layer_out(layer, acts[-1]))
         check_finite(acts[-1], "network output")
-        self._cache = (acts, single)
-        return acts[-1][0] if single else acts[-1]
+        return acts
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """forward() for inference on a batch (n, input_dim), in float32.
+        """forward()'s output for inference on a batch (n, input_dim), in float32.
 
         Casts the rows and each layer's parameters to float32 on every call
         (Adam updates the float64 parameters in place, so no copy is kept)
         and returns float64 that agrees with forward() to float32
-        precision (see the module docstring). Keeps no activation cache
-        and checks no entry for finiteness; the caller checks what it reads.
+        precision (see the module docstring). Checks no entry for
+        finiteness; the caller checks what it reads.
         """
+        x = np.asarray(x, dtype=np.float32)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ShapeError(f"input dim {x.shape} incompatible with input_dim {self.input_dim}")
-        x = x.astype(np.float32)
         for layer in self.layers:
             x = _layer_out(layer, x)
         return x.astype(np.float64)
 
-    def backward(self, grad_out: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    def backward(self, acts: list[np.ndarray],
+                 grad_out: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Exact gradients of a scalar loss w.r.t. every weight and bias.
 
-        grad_out is dLoss/dOutput for the most recent forward() input,
-        same shape as that output. Returns [(dW, db), ...] per layer.
+        acts is what forward() returned and grad_out is dLoss/dOutput, of
+        the output's shape; neither is modified. Returns [(dW, db), ...]
+        per layer.
         """
-        if self._cache is None:
-            raise StateError("backward() called before forward()")
-        acts, single = self._cache
         g = np.array(grad_out, dtype=np.float64)  # backward's own, written in place
-        if single:
-            g = g[None, :]
-        if g.shape != acts[-1].shape:
+        if g.ndim != 2 or g.shape != acts[-1].shape:
             raise ShapeError(f"upstream gradient shape {g.shape} != output shape {acts[-1].shape}")
         grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(self.layers)
         for k in range(len(self.layers) - 1, -1, -1):
@@ -296,15 +288,18 @@ def adam_step(net: Network, grads: list[tuple[np.ndarray, np.ndarray]], state: A
 def finite_diff_check(net: Network, x: np.ndarray, loss_fn, step: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    loss_fn maps the network output to a scalar and must also provide the
-    analytic output gradient: loss_fn(y) -> (scalar, dLoss/dy).
+    x is a batch of rows, or one input vector, which is checked as one
+    row. loss_fn maps the network's output rows to a scalar and must also
+    provide the analytic output gradient: loss_fn(y) -> (scalar, dLoss/dy).
+    Every perturbed entry is put back, also when forward or loss_fn raises.
     """
     for p in net.parameters():
         if not np.all(np.isfinite(p)):
             raise ValueError("network parameters contain non-finite entries")
-    y = net.forward(x)
-    _, gy = loss_fn(y)
-    analytic = net.backward(gy)
+    x = np.atleast_2d(x)
+    acts = net.forward(x)
+    _, gy = loss_fn(acts[-1])
+    analytic = net.backward(acts, gy)
     worst = 0.0
     for k, layer in enumerate(net.layers):
         for arr, ga in ((layer.weight, analytic[k][0]), (layer.bias, analytic[k][1])):
@@ -312,13 +307,14 @@ def finite_diff_check(net: Network, x: np.ndarray, loss_fn, step: float = 1e-5) 
             for _ in it:
                 idx = it.multi_index
                 orig = arr[idx]
-                arr[idx] = orig + step
-                lp, _ = loss_fn(net.forward(x))
-                arr[idx] = orig - step
-                lm, _ = loss_fn(net.forward(x))
-                arr[idx] = orig
+                try:
+                    arr[idx] = orig + step
+                    lp, _ = loss_fn(net.forward(x)[-1])
+                    arr[idx] = orig - step
+                    lm, _ = loss_fn(net.forward(x)[-1])
+                finally:
+                    arr[idx] = orig
                 num = (lp - lm) / (2.0 * step)
                 rel = abs(ga[idx] - num) / (abs(ga[idx]) + 1e-12)
                 worst = max(worst, rel)
-    net.forward(x)  # restore cache for the unperturbed input
     return worst

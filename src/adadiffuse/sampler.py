@@ -21,7 +21,7 @@ chains, or the last re-solve's closed form, four coefficients per chain
 re-solves are O(batch). A re-solve reads its interval ends, which depend
 on the remaining step count only, from a table the run builds once
 (_interval_ends). Both networks run through the models' predict
-(Network.apply: float32 layers, no activation cache, no checks); the
+(Network.apply: float32 layers, no checks); the
 engine's own arithmetic stays float64. It checks the
 estimate and the state once per step, so a non-finite value, including a
 state beyond float32's range that the networks turned into inf, raises

@@ -60,7 +60,7 @@ def test_model_checkpoint_round_trip(tmp_path):
     # loaded models produce identical outputs
     x = np.random.default_rng(3).standard_normal((4, 2))
     np.testing.assert_array_equal(
-        est.net.forward(x), models["estimator"].net.forward(x)
+        est.net.forward(x)[-1], models["estimator"].net.forward(x)[-1]
     )
 
 

@@ -151,7 +151,7 @@ def test_sample_with_the_other_conditioning_mode_exits_2(cfg_file, capsys):
         assert main([*cmd, "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err
-        assert "discrete_index" in err and "continuous_alpha" in err
+        assert "unknown key 'sampler.conditioning'" in err
     assert not out.exists()
 
 

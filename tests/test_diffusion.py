@@ -100,9 +100,9 @@ def test_denoiser_step_zero_loss_when_prediction_exact(monkeypatch):
     batch = make_noisy_batch(data, sched, [np.random.default_rng(7)], 16)
     x = den.conditioned_input(batch.y_s, batch.sqrt_alpha_bar)
     monkeypatch.setattr(
-        den.net, "forward", lambda x: batch.epsilon.copy()
+        den.net, "forward", lambda x: [x, batch.epsilon.copy()]
     )
-    monkeypatch.setattr(den.net, "backward", lambda g: [
+    monkeypatch.setattr(den.net, "backward", lambda acts, g: [
         (np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in den.net.layers
     ])
     before = [p.copy() for p in den.net.parameters()]
@@ -180,8 +180,8 @@ def test_estimator_step_zero_loss_perfect_prediction(monkeypatch):
     sched = training_schedule(50)
     opt = AdamState.for_network(est.net)
     batch = make_noisy_batch(data, sched, [np.random.default_rng(5)], 32)
-    monkeypatch.setattr(est.net, "forward", lambda x: (batch.sqrt_alpha_bar**2)[:, None])
-    monkeypatch.setattr(est.net, "backward", lambda g: [
+    monkeypatch.setattr(est.net, "forward", lambda x: [x, (batch.sqrt_alpha_bar**2)[:, None]])
+    monkeypatch.setattr(est.net, "backward", lambda acts, g: [
         (np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in est.net.layers
     ])
     loss = estimator_train_step(est, opt, batch.y_s, batch.sqrt_alpha_bar**2)
@@ -257,8 +257,8 @@ def test_non_finite_loss_mid_block_stops_at_that_step(monkeypatch):
 
     def poisoned(x):
         calls.append(None)
-        out = forward(x)
-        return out * np.nan if len(calls) == bad + 1 else out
+        acts = forward(x)
+        return [*acts[:-1], acts[-1] * np.nan] if len(calls) == bad + 1 else acts
 
     monkeypatch.setattr(est.net, "forward", poisoned)
     with pytest.raises(ValueError, match="non-finite training loss"):

@@ -37,19 +37,19 @@ def test_denoiser_input_layout():
 def test_denoiser_dims_and_output():
     den = make_denoiser(2, seed=1)
     assert den.net.output_dim == 2
-    out = den.predict(np.zeros(2), 0.9)
-    assert out.shape == (2,)
+    out = den.predict(np.zeros((1, 2)), 0.9)
+    assert out.shape == (1, 2)
     batch = den.predict(np.zeros((5, 2)), np.full(5, 0.9))
     assert batch.shape == (5, 2)
     assert den.predict(np.zeros((5, 2)), np.array([0.9])).shape == (5, 2)
 
 
 @pytest.mark.parametrize("y,cond,match", [
-    (np.zeros((4, 3)), 0.5, r"\(4, 3\).*batch 4, data_dim 2"),
-    (np.zeros(3), 0.5, r"\(1, 3\).*batch 1, data_dim 2"),
+    (np.zeros((4, 3)), 0.5, r"\(4, 3\) is not \(batch, data_dim 2\)"),
+    (np.zeros(2), 0.5, r"\(2,\) is not \(batch, data_dim 2\)"),
     (np.zeros((4, 2)), np.ones(3), r"cond shape \(3,\).*batch 4.*data_dim 2"),
     (np.zeros((4, 2)), np.ones((4, 1)), r"cond shape \(4, 1\).*batch 4.*data_dim 2"),
-], ids=["wide-state", "wide-1-D-state", "short-cond", "2-D-cond"])
+], ids=["wide-state", "1-D-state", "short-cond", "2-D-cond"])
 def test_denoiser_rejects_mismatched_state_or_cond(y, cond, match):
     den = make_denoiser(2, seed=0)
     for call in (den.conditioned_input, den.predict):
@@ -61,8 +61,8 @@ def test_estimator_output_bounded():
     est = make_estimator(2, seed=2)
     vals = est.predict(np.random.default_rng(0).standard_normal((64, 2)))
     assert np.all((vals > 0.0) & (vals < 1.0))
-    single = est.predict(np.zeros(2))
-    assert isinstance(single, float)
+    one = est.predict(np.zeros((1, 2)))
+    assert isinstance(one, np.ndarray) and one.shape == (1,)
 
 
 @pytest.mark.parametrize("mode", ["fourier", "discrete_index"])
@@ -71,19 +71,11 @@ def test_bad_conditioning_mode_rejected(mode):
         make_denoiser(2, 0, mode)
 
 
-def test_predict_leaves_the_network_cache_as_it_found_it():
-    # predict is inference: it runs Network.apply, which neither caches
-    # activations nor replaces the cache a training forward left
-    den, est = make_denoiser(2, seed=0), make_estimator(2, seed=1)
-    y = np.random.default_rng(0).standard_normal((5, 2))
-    for model, call in ((den, lambda: den.predict(y, 0.5)), (est, lambda: est.predict(y))):
-        assert model.net._cache is None
-        call()
-        assert model.net._cache is None
-        model.net.forward(np.zeros((3, model.net.input_dim)))
-        cache = model.net._cache
-        call()
-        assert model.net._cache is cache
+def test_estimator_rejects_a_1d_state():
+    # a single state is one row, (1, data_dim); the denoiser's case is
+    # test_denoiser_rejects_mismatched_state_or_cond[1-D-state]
+    with pytest.raises(ShapeError, match=r"input dim \(2,\)"):
+        make_estimator(2, seed=1).predict(np.zeros(2))
 
 
 def _per_row_input(y, c):

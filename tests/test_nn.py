@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adadiffuse.errors import ShapeError, StateError
+from adadiffuse.errors import ShapeError
 from adadiffuse.nn import (
     AdamState,
     DenseLayer,
@@ -27,58 +27,53 @@ def sq_loss(target):
 
 def test_zero_network_maps_to_zero():
     net = Network([DenseLayer(np.zeros((3, 2)), np.zeros(2), "identity")])
-    assert np.array_equal(net.forward(np.array([1.0, -2.0, 3.0])), np.zeros(2))
+    assert np.array_equal(net.forward(np.array([[1.0, -2.0, 3.0]]))[-1], np.zeros((1, 2)))
 
 
 def test_relu_clamps_negatives():
     net = Network([DenseLayer(np.eye(2), np.zeros(2), "relu")])
-    assert np.array_equal(net.forward(np.array([-1.0, 2.0])), np.array([0.0, 2.0]))
+    assert np.array_equal(net.forward(np.array([[-1.0, 2.0]]))[-1], np.array([[0.0, 2.0]]))
 
 
 def test_forward_matches_straight_line_reevaluation():
     net = init_network([4, 5, 3], ["relu", "identity"], seed=7)
     rng = np.random.default_rng(1)
-    x = rng.standard_normal(4)
+    x = rng.standard_normal((1, 4))
     # independent re-evaluation of the same weights
     h = x @ net.layers[0].weight + net.layers[0].bias
     h = np.where(h > 0, h, 0.0)
     expected = h @ net.layers[1].weight + net.layers[1].bias
-    assert np.array_equal(net.forward(x), expected)
+    assert np.array_equal(net.forward(x)[-1], expected)
 
 
 def test_forward_deterministic_bitwise():
     net = init_network([6, 8, 2], ["relu", "identity"], seed=3)
-    x = np.random.default_rng(0).standard_normal(6)
-    assert np.array_equal(net.forward(x), net.forward(x))
+    x = np.random.default_rng(0).standard_normal((1, 6))
+    assert np.array_equal(net.forward(x)[-1], net.forward(x)[-1])
 
 
 def test_forward_rejects_dimension_mismatch():
     net = init_network([4, 2], ["identity"], seed=0)
     with pytest.raises(ShapeError):
-        net.forward(np.zeros(5))
-
-
-def test_backward_before_forward_rejected():
-    net = init_network([4, 2], ["identity"], seed=0)
-    with pytest.raises(StateError):
-        net.backward(np.zeros(2))
+        net.forward(np.zeros((1, 5)))
 
 
 def test_zero_upstream_gradient_gives_zero_grads():
     net = init_network([4, 6, 2], ["relu", "identity"], seed=2)
-    net.forward(np.random.default_rng(0).standard_normal(4))
-    for gw, gb in net.backward(np.zeros(2)):
+    acts = net.forward(np.random.default_rng(0).standard_normal((1, 4)))
+    for gw, gb in net.backward(acts, np.zeros((1, 2))):
         assert not gw.any() and not gb.any()
 
 
 def test_identity_layer_squared_error_closed_form():
     net = init_network([3, 3], ["identity"], seed=5)
-    x = np.array([0.3, -1.2, 2.0])
+    x = np.array([[0.3, -1.2, 2.0]])
     target = np.array([1.0, 0.0, -1.0])
-    y = net.forward(x)
-    grads = net.backward(2.0 * (y - target))
+    acts = net.forward(x)
+    y = acts[-1]
+    grads = net.backward(acts, 2.0 * (y - target))
     np.testing.assert_allclose(grads[0][0], np.outer(x, 2.0 * (y - target)), atol=1e-15)
-    np.testing.assert_allclose(grads[0][1], 2.0 * (y - target), atol=1e-15)
+    np.testing.assert_allclose(grads[0][1], 2.0 * (y[0] - target), atol=1e-15)
 
 
 def test_backward_matches_finite_differences_three_layers():
@@ -225,10 +220,11 @@ def test_shape_invariants_random_networks(dims, batch, seed):
     acts = ["relu"] * (len(dims) - 2) + ["identity"]
     net = init_network(dims, acts, seed=seed)
     x = np.random.default_rng(seed).standard_normal((batch, dims[0]))
-    y = net.forward(x)
+    acts = net.forward(x)
+    y = acts[-1]
     assert y.shape == (batch, dims[-1])
     assert np.all(np.isfinite(y))
-    grads = net.backward(np.ones_like(y))
+    grads = net.backward(acts, np.ones_like(y))
     for (gw, gb), layer in zip(grads, net.layers):
         assert gw.shape == layer.weight.shape
         assert gb.shape == layer.bias.shape
@@ -260,20 +256,18 @@ def _ref_slope(tag, a):
 
 def _ref_forward_backward(layers, x, g):
     """(output, [(dW, db), ...]) of a list of (weight, bias, activation)."""
-    single = x.ndim == 1
-    a = x[None, :] if single else x
-    acts = [a]
+    a = x
+    acts = [x]
     for w, b, tag in layers:
         a = _ref_activation(tag, a @ w + b)
         acts.append(a)
-    g = g[None, :] if single else g
     grads = [None] * len(layers)
     for k in range(len(layers) - 1, -1, -1):
         gz = g * _ref_slope(layers[k][2], acts[k + 1])
         grads[k] = (acts[k].T @ gz, gz.sum(axis=0))
         if k > 0:
             g = gz @ layers[k][0].T
-    return (a[0] if single else a), grads
+    return a, grads
 
 
 def _flat(arrays):
@@ -309,7 +303,7 @@ KERNEL_NETS = {
 
 
 @pytest.mark.parametrize("dims,acts", KERNEL_NETS.values(), ids=KERNEL_NETS.keys())
-@pytest.mark.parametrize("batch", [None, 1, 7], ids=["1-D", "batch-1", "batch-7"])
+@pytest.mark.parametrize("batch", [1, 7], ids=["batch-1", "batch-7"])
 def test_kernel_matches_plain_formulas_bit_for_bit(dims, acts, batch):
     net = init_network(dims, acts, seed=17)
     ref_params = [p.copy() for p in net.parameters()]
@@ -318,14 +312,13 @@ def test_kernel_matches_plain_formulas_bit_for_bit(dims, acts, batch):
     ref_v = [np.zeros_like(p) for p in ref_params]
     state = AdamState.for_network(net, learning_rate=0.05)
     rng = np.random.default_rng(2)
-    shape = (dims[0],) if batch is None else (batch, dims[0])
     for t in range(1, 6):
-        x = rng.standard_normal(shape)
-        y = net.forward(x)
-        g = rng.standard_normal(y.shape)
+        x = rng.standard_normal((batch, dims[0]))
+        activations = net.forward(x)
+        g = rng.standard_normal(activations[-1].shape)
         ref_y, ref_grads = _ref_forward_backward(ref_layers, x, g)
-        np.testing.assert_array_equal(y, ref_y)
-        grads = net.backward(g)
+        np.testing.assert_array_equal(activations[-1], ref_y)
+        grads = net.backward(activations, g)
         for (gw, gb), (rw, rb) in zip(grads, ref_grads):
             np.testing.assert_array_equal(gw, rw)
             np.testing.assert_array_equal(gb, rb)
@@ -336,50 +329,90 @@ def test_kernel_matches_plain_formulas_bit_for_bit(dims, acts, batch):
         np.testing.assert_array_equal(state.m, _flat(ref_m))
         np.testing.assert_array_equal(state.v, _flat(ref_v))
     if "sigmoid" in acts:
-        z = SIGMOID_EXTREMES.reshape(-1, 1) if batch else SIGMOID_EXTREMES
+        z = SIGMOID_EXTREMES.reshape(-1, 1)
         got = _activate("sigmoid", z.copy())
         assert got.tobytes() == _ref_activation("sigmoid", z).tobytes()
 
 
 @pytest.mark.parametrize("dims,acts", KERNEL_NETS.values(), ids=KERNEL_NETS.keys())
-@pytest.mark.parametrize("batch", [None, 5], ids=["1-D", "batch"])
-def test_forward_and_backward_leave_their_inputs_and_cache_alone(dims, acts, batch):
+@pytest.mark.parametrize("batch", [1, 5])
+def test_forward_and_backward_leave_their_inputs_alone(dims, acts, batch):
     net = init_network(dims, acts, seed=23)
     rng = np.random.default_rng(6)
-    x = rng.standard_normal((dims[0],) if batch is None else (batch, dims[0]))
+    x = rng.standard_normal((batch, dims[0]))
     x_before = x.copy()
-    y = net.forward(x)
+    activations = net.forward(x)
     np.testing.assert_array_equal(x, x_before)
-    cached = [a.copy() for a in net._cache[0]]
-    g = rng.standard_normal(y.shape)
+    acts_before = [a.copy() for a in activations]
+    g = rng.standard_normal(activations[-1].shape)
     g_before = g.copy()
-    net.backward(g)
-    net.backward(g)
+    first = net.backward(activations, g)
+    second = net.backward(activations, g)
     np.testing.assert_array_equal(g, g_before)
-    for a, before in zip(net._cache[0], cached):
-        np.testing.assert_array_equal(a, before)
+    for a, before in zip(activations, acts_before):
+        assert a.tobytes() == before.tobytes()
+    for (gw, gb), (hw, hb) in zip(first, second):
+        assert gw.tobytes() == hw.tobytes() and gb.tobytes() == hb.tobytes()
+
+
+@pytest.mark.parametrize("dims,acts", KERNEL_NETS.values(), ids=KERNEL_NETS.keys())
+def test_interleaved_calls_give_each_batch_its_own_gradients(dims, acts):
+    # the network stores nothing between calls: two forwards, then their
+    # backwards in reverse order, match two isolated forward/backward pairs
+    net = init_network(dims, acts, seed=31)
+    rng = np.random.default_rng(9)
+    xs = [rng.standard_normal((n, dims[0])) for n in (3, 6)]
+    gs = [rng.standard_normal((n, dims[-1])) for n in (3, 6)]
+    alone = [net.backward(net.forward(x), g) for x, g in zip(xs, gs)]
+    acts_a, acts_b = net.forward(xs[0]), net.forward(xs[1])
+    grads_b = net.backward(acts_b, gs[1])
+    grads_a = net.backward(acts_a, gs[0])
+    for got, want in zip((grads_a, grads_b), alone):
+        for (gw, gb), (ww, wb) in zip(got, want):
+            assert gw.tobytes() == ww.tobytes() and gb.tobytes() == wb.tobytes()
+
+
+def test_forward_and_backward_reject_a_1d_array():
+    net = init_network([3, 4, 2], ["relu", "identity"], seed=0)
+    with pytest.raises(ShapeError):
+        net.forward(np.zeros(3))
+    acts = net.forward(np.zeros((1, 3)))
+    with pytest.raises(ShapeError):
+        net.backward(acts, np.zeros(2))
+
+
+@pytest.mark.parametrize("raise_on", [2, 3], ids=["plus-step", "minus-step"])
+def test_finite_diff_check_puts_back_the_entry_when_loss_fn_raises(raise_on):
+    # call 1 is the unperturbed loss; calls 2 and 3 see the first entry
+    # moved by +step and -step
+    net = init_network([3, 4, 2], ["relu", "identity"], seed=5)
+    before = [p.tobytes() for p in net.parameters()]
+    calls, loss = [], sq_loss(np.zeros(2))
+
+    def failing(y):
+        calls.append(None)
+        if len(calls) == raise_on:
+            raise RuntimeError("loss failed")
+        return loss(y)
+
+    with pytest.raises(RuntimeError, match="loss failed"):
+        finite_diff_check(net, np.ones(3), failing)
+    assert [p.tobytes() for p in net.parameters()] == before
 
 
 @pytest.mark.parametrize("dims,acts", KERNEL_NETS.values(), ids=KERNEL_NETS.keys())
 @pytest.mark.parametrize("batch", [1, 7])
-def test_apply_matches_forward_to_float32_precision_and_keeps_no_cache(dims, acts, batch):
+def test_apply_matches_forward_to_float32_precision(dims, acts, batch):
     # apply runs the layers in float32 (worst case here about 2.6e-7 abs)
     net = init_network(dims, acts, seed=29)
     rng = np.random.default_rng(8)
     x = rng.standard_normal((batch, dims[0])) * 3.0
     x_before = x.copy()
-    assert net._cache is None
     out = net.apply(x)
-    assert net._cache is None
     assert out.dtype == np.float64
-    np.testing.assert_allclose(out, net.forward(x), rtol=1e-5, atol=1e-5)
+    np.testing.assert_allclose(out, net.forward(x)[-1], rtol=1e-5, atol=1e-5)
     assert net.apply(x).tobytes() == out.tobytes()
-    cache = net._cache
-    cached = [a.copy() for a in cache[0]]
     assert net.apply(rng.standard_normal((batch, dims[0]))).shape == (batch, dims[-1])
-    assert net._cache is cache
-    for a, before in zip(cache[0], cached):
-        np.testing.assert_array_equal(a, before)
     np.testing.assert_array_equal(x, x_before)
 
 

@@ -271,7 +271,7 @@ def test_engine_replay_matches_public_updates(small_models):
         y = rng.standard_normal((1, 2))[0]
         for n in range(7, 0, -1):
             cond = math.sqrt(sched.alpha_bar(n))
-            eps_hat = den.predict(y, cond)
+            eps_hat = den.predict(y[None], cond)[0]
             z = rng.standard_normal((1, 2))[0]
             if rule == "ddpm":
                 y = ddpm_update(y, eps_hat, n, sched, z)
@@ -304,14 +304,14 @@ def test_adaptive_engine_matches_public_formula_replay(small_models, kind, adjus
     assert [rec.n for rec in run.steps] == list(range(8, 0, -1))
     for n, rec in zip(range(8, 0, -1), run.steps):
         assert rec.beta == sched.betas[n - 1] and rec.alpha_bar == sched.alpha_bar(n)
-        eps_hat = den.predict(y, np.sqrt(sched.alpha_bar(n)))
+        eps_hat = den.predict(y[None], np.sqrt(sched.alpha_bar(n)))[0]
         z = rng.standard_normal((1, 2))[0]
         det = update(y, eps_hat, n, sched, np.zeros(2))
         y = update(y, eps_hat, n, sched, z)
         if n not in adjust:
             assert rec.alpha_hat is None
             continue
-        ab_hat = float(np.clip(est.predict(det), AB_CLAMP, 1.0 - AB_CLAMP))
+        ab_hat = float(np.clip(est.predict(det[None])[0], AB_CLAMP, 1.0 - AB_CLAMP))
         assert rec.alpha_hat == ab_hat
         if n > 1:
             target = max(ab_hat, sched.alpha_bar(n - 1))
