@@ -93,10 +93,18 @@ def _read_csv(path, parse, what: str) -> list:
             raise TraceError(f"{path}: not UTF-8 text: {exc!r}") from None
 
 
+def _step_record(line: bytes) -> StepRecord:
+    rec = StepRecord(**json.loads(line))
+    numbers = (rec.beta, rec.alpha_bar, rec.wall_ms, 0.0 if rec.alpha_hat is None else rec.alpha_hat)
+    # exact types: JSON's true and false load as bool, a subclass of int
+    if type(rec.n) is not int or any(type(v) not in (int, float) for v in numbers):
+        raise TypeError(f"wrong field types in {vars(rec)}")
+    return rec
+
+
 def read_trace_jsonl(path) -> list[StepRecord]:
     with open(path, "rb") as fh:
-        return _parsed(path, enumerate(fh, 1), lambda line: StepRecord(**json.loads(line)),
-                       "step record")
+        return _parsed(path, enumerate(fh, 1), _step_record, "step record")
 
 
 def write_curve_csv(curve, path) -> None:

@@ -126,6 +126,8 @@ def _network_from_tensors(prefix: str, tensors: dict[str, np.ndarray]) -> Networ
             code = tensors[f"{prefix}/layer{k}/activation"][0]
         except (KeyError, IndexError) as exc:
             raise CheckpointError(f"incomplete layer {k} under {prefix!r}") from exc
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+            raise CheckpointError(f"non-finite parameters in layer {k} under {prefix!r}")
         what = f"activation of layer {k} under {prefix!r}"
         act = ACTIVATIONS[_stored_int(code, len(ACTIVATIONS), what)]
         layers.append(DenseLayer(w.copy(), b.copy(), act))

@@ -117,9 +117,6 @@ _KEYS = {
     "dataset.components": ("dataset", "components", _INT),
     "dataset.radius": ("dataset", "radius", _FLOAT),
     "dataset.sigma": ("dataset", "sigma", _FLOAT),
-    "dataset.wave_length": ("dataset", "wave_length", _INT),
-    "dataset.freq_lo": ("dataset", "freq_lo", _FLOAT),
-    "dataset.freq_hi": ("dataset", "freq_hi", _FLOAT),
     "train.learning_rate": ("train", "learning_rate", _FLOAT),
     "train.batch_size": ("train", "batch_size", _INT),
     "train.total_steps": ("train", "total_steps", _INT),

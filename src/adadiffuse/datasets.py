@@ -1,6 +1,6 @@
 """Deterministic toy datasets, standardized to zero mean / unit variance.
 
-Standardization uses fixed analytic per-kind moments, never batch
+Standardization uses the mixture's fixed analytic moments, never batch
 statistics, so generation stays a pure function of the DatasetSpec and
 sample moments obey the usual statistical fluctuation bounds.
 """
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-KINDS = ("gaussian_mixture_2d", "sinusoid_1d")
+KINDS = ("gaussian_mixture_2d",)
 
 
 @dataclass(frozen=True)
@@ -22,10 +22,7 @@ class DatasetSpec:
     components: int = 8
     radius: float = 2.0
     sigma: float = 0.1
-    # sinusoid_1d
-    wave_length: int = 64
-    freq_lo: float = 1.0
-    freq_hi: float = 8.0
+    dim = 2  # a class constant, not a field
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -34,22 +31,10 @@ class DatasetSpec:
             raise ValueError("size must be positive")
         if self.seed < 0:
             raise ValueError(f"dataset.seed must be >= 0, got {self.seed}")
-        if self.kind == "gaussian_mixture_2d":
-            if self.components < 1 or not (0 < self.sigma < np.inf):
-                raise ValueError("mixture needs components >= 1 and a finite sigma > 0")
-            if not np.isfinite(self.radius):
-                raise ValueError(f"mixture radius must be finite, got {self.radius}")
-        else:
-            if self.wave_length < 1:
-                raise ValueError(f"wave_length must be >= 1, got {self.wave_length}")
-            if not (-np.inf < self.freq_lo <= self.freq_hi < np.inf):
-                raise ValueError(
-                    f"sinusoid needs finite freq_lo <= freq_hi, got {self.freq_lo} and {self.freq_hi}"
-                )
-
-    @property
-    def dim(self) -> int:
-        return self.wave_length if self.kind == "sinusoid_1d" else 2
+        if self.components < 1 or not (0 < self.sigma < np.inf):
+            raise ValueError("mixture needs components >= 1 and a finite sigma > 0")
+        if not np.isfinite(self.radius):
+            raise ValueError(f"mixture radius must be finite, got {self.radius}")
 
 
 def _mixture_centers(spec: DatasetSpec) -> np.ndarray:
@@ -72,18 +57,10 @@ def _mixture_moments(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray]:
 def generate(spec: DatasetSpec) -> np.ndarray:
     """Draw spec.size standardized samples; bit-identical for equal specs."""
     rng = np.random.default_rng(spec.seed)
-    if spec.kind == "gaussian_mixture_2d":
-        centers = _mixture_centers(spec)
-        comp = rng.choice(spec.components, size=spec.size, p=_mixture_weights(spec))
-        raw = centers[comp] + spec.sigma * rng.standard_normal((spec.size, 2))
-        mean, var = _mixture_moments(spec)
-    else:
-        freq = rng.uniform(spec.freq_lo, spec.freq_hi, size=spec.size)
-        phase = rng.uniform(0.0, 2.0 * np.pi, size=spec.size)
-        j = np.arange(spec.wave_length)
-        raw = np.sin(2.0 * np.pi * freq[:, None] * j / spec.wave_length + phase[:, None])
-        # uniform phase: per-dim mean 0, variance 1/2 exactly
-        mean, var = np.zeros(spec.wave_length), np.full(spec.wave_length, 0.5)
+    centers = _mixture_centers(spec)
+    comp = rng.choice(spec.components, size=spec.size, p=_mixture_weights(spec))
+    raw = centers[comp] + spec.sigma * rng.standard_normal((spec.size, 2))
+    mean, var = _mixture_moments(spec)
     out = (raw - mean) / np.sqrt(var)
     if not np.all(np.isfinite(out)):
         raise ValueError("generated batch contains non-finite values")

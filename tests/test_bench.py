@@ -176,7 +176,13 @@ def test_trace_jsonl_round_trip(tmp_path):
 @pytest.mark.parametrize("bad", [
     '{"n": 3, "alpha_hat": null, "betas": [0.01, 0.02], "wall_ms": 1.0}',  # old format
     '{"n": 3, "alpha_hat": null, "beta": 0.0',  # truncated
-], ids=["old-format", "truncated"])
+    '{"n": "three", "alpha_hat": [1], "beta": "x", "alpha_bar": null, "wall_ms": {}}',
+    '{"n": true, "alpha_hat": null, "beta": 0.01, "alpha_bar": 0.99, "wall_ms": 1.0}',
+    '{"n": 3.0, "alpha_hat": null, "beta": 0.01, "alpha_bar": 0.99, "wall_ms": 1.0}',
+    '{"n": 3, "alpha_hat": "0.5", "beta": 0.01, "alpha_bar": 0.99, "wall_ms": 1.0}',
+    '{"n": 3, "alpha_hat": 0.5, "beta": 0.01, "alpha_bar": 0.99, "wall_ms": false}',
+], ids=["old-format", "truncated", "wrong-types", "bool-index", "float-index",
+        "string-estimate", "bool-wall-time"])
 def test_trace_reader_names_file_and_line_of_a_malformed_line(tmp_path, bad):
     path = tmp_path / "t.jsonl"
     good = StepRecord(n=4, alpha_hat=None, beta=0.01, alpha_bar=0.99, wall_ms=1.0)

@@ -130,6 +130,22 @@ def test_malformed_metadata_raises_checkpoint_error(tmp_path, name, index, value
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("name,value,where", [
+    ("denoiser/layer1/weight", float("nan"), "layer 1 under 'denoiser'"),
+    ("estimator/layer2/bias", float("inf"), "layer 2 under 'estimator'"),
+], ids=["nan-denoiser-weight", "inf-estimator-bias"])
+def test_non_finite_parameters_raise_checkpoint_error_naming_the_layer(tmp_path, name, value, where):
+    # caught at load, not as a non-finite sampler state steps later
+    path = tmp_path / "models.nesd"
+    models = {"denoiser": make_denoiser(2, seed=1), "estimator": make_estimator(2, seed=2)}
+    save_checkpoint(models, None, path)
+    tensors = read_tensors(path)
+    tensors[name].flat[0] = value
+    write_tensors(path, tensors)
+    with pytest.raises(CheckpointError, match=f"non-finite parameters in {where}"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("name", ["denoiser/meta", "estimator/layer0/activation"])
 def test_metadata_of_the_wrong_rank_raises_checkpoint_error(tmp_path, name):
     path = tmp_path / "models.nesd"

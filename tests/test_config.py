@@ -57,12 +57,6 @@ def test_bad_value_becomes_config_error():
 @pytest.mark.parametrize("text", [
     "train.learning_rate = nan",
     "train.learning_rate = inf",
-    "dataset.kind = sinusoid_1d\ndataset.wave_length = 0",
-    "dataset.kind = sinusoid_1d\ndataset.freq_lo = 8\ndataset.freq_hi = 1",
-    "dataset.kind = sinusoid_1d\ndataset.freq_hi = nan",
-    "dataset.components = 2\ndataset.weights = -1,2",
-    "dataset.components = 2\ndataset.weights = 0,0",
-    "dataset.components = 2\ndataset.weights = nan,1",
     "dataset.radius = nan",
     "dataset.radius = inf",
     "dataset.sigma = nan",
@@ -105,9 +99,14 @@ def test_empty_file_gives_the_default_config():
     assert parse_text("") == RunConfig()
 
 
-def test_dataset_weights_is_an_unknown_key():
-    with pytest.raises(ConfigError, match="unknown key 'dataset.weights'"):
-        parse_text("dataset.weights = 0.5,0.5\n")
+@pytest.mark.parametrize("text,message", [
+    ("dataset.components = 2\ndataset.weights = 0.5,0.5", "unknown key 'dataset.weights'"),
+    ("dataset.wave_length = 64", "unknown key 'dataset.wave_length'"),
+    ("dataset.kind = sinusoid_1d", "unknown dataset kind 'sinusoid_1d'"),
+], ids=["weights", "wave_length", "sinusoid_1d"])
+def test_removed_dataset_keys_and_kind_are_config_errors(text, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_text(text + "\n")
 
 
 def test_load_config_missing_file(tmp_path):

@@ -94,7 +94,7 @@ def _clustered(rng, n, centres):
     pytest.param(2, 2048, "plain", id="2"),
     pytest.param(3, 2048, "plain", id="3"),
     pytest.param(4, 2048, "plain", id="4"),
-    # the sinusoid's size; m is smaller so the (m, m, 64) oracle stays small
+    # many dims; m is smaller so the (m, m, 64) oracle stays small
     pytest.param(64, 256, "plain", id="64"),
     # squared norms 1e12 above the squared distances
     pytest.param(2, 2048, "shifted", id="2-shifted-1e6"),
