@@ -130,7 +130,7 @@ def _network_from_tensors(prefix: str, tensors: dict[str, np.ndarray]) -> Networ
             raise CheckpointError(f"non-finite parameters in layer {k} under {prefix!r}")
         what = f"activation of layer {k} under {prefix!r}"
         act = ACTIVATIONS[_stored_int(code, len(ACTIVATIONS), what)]
-        layers.append(DenseLayer(w.copy(), b.copy(), act))
+        layers.append(DenseLayer(w, b, act))
         k += 1
     if not layers:
         raise CheckpointError(f"no layers found under {prefix!r}")

@@ -6,30 +6,40 @@ finite-difference gradient checker. This is all the model machinery the
 denoiser and the noise-level estimator need; there is no general autodiff
 graph and no convolution support.
 
-A Network holds its layers and nothing else, and every call takes a batch
-of rows (n, input_dim). Network.forward is for training and
-finite_diff_check: it runs in float64, checks its input and output, and
-returns the activation list [x, a_1, ..., output] without keeping it.
-Network.backward(acts, grad_out) takes that list, so a gradient depends
+A Network holds its layers and one float64 vector, Network.params, with
+every weight and bias end to end: layer 0's weight (row-major), layer 0's
+bias, layer 1's weight, and so on. Each layer's weight and bias are
+reshaped views of that vector, which the Network copies the given arrays
+into, so writing a layer array writes params and the reverse.
+
+Every call takes a batch of rows (n, input_dim). Network.forward is for
+training and finite_diff_check: it runs in float64, checks its input and
+output, and returns the activation list [x, a_1, ..., output] without
+keeping it. Network.backward(acts, grad_out) takes that list and returns
+the gradient as one new vector in params' layout, so a gradient depends
 only on its arguments and calls on one network may interleave in any
 order. Network.apply is for inference (the models' predict): the same
-layer code in float32, cast from the float64 parameters on each call,
-with no finiteness checks. It returns float64 that agrees with forward's
-output to float32 precision, |apply - forward| <= 1e-5 + 1e-5 |forward|
-for inputs and activations of order one; a value beyond float32's range
+layer code in float32, on one float32 cast of params per call, with no
+finiteness checks. It returns float64 that agrees with forward's output
+to float32 precision, |apply - forward| <= 1e-5 + 1e-5 |forward| for
+inputs and activations of order one; a value beyond float32's range
 (about 3.4e38) becomes inf.
 
 The kernel allocates little per step, with the same bits as the plain
-formulas: forward adds each layer's bias and applies its ReLU in place on
-the fresh matmul output, the sigmoid uses no boolean masks, backward
-copies the caller's grad_out once and applies each ReLU slope in place on
-its own gradient (never on the activations it was given), and Adam keeps
-each moment in a flat buffer, m and v, that one sequence of in-place
-ufuncs updates.
+per-array formulas: forward adds each layer's bias and applies its ReLU
+in place on the fresh matmul output, the sigmoid uses no boolean masks,
+backward copies the caller's grad_out once, applies each ReLU slope in
+place on its own gradient (never on the activations it was given) and
+writes each layer's dW and db into its slice of the gradient vector.
+adam_step updates Adam's moments m and v, flat vectors of params' size,
+and params itself in whole-vector passes; it sets the subnormal entries
+of m to 0, as a moment whose gradient stays 0 otherwise decays into the
+subnormal range and sticks there (0.9 * 5e-324 rounds back to 5e-324),
+slowing every later pass over it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,20 +120,25 @@ class DenseLayer:
         return self.weight.shape[1]
 
 
-def _layer_out(layer: DenseLayer, a: np.ndarray) -> np.ndarray:
-    """act(a @ weight + bias) in a's dtype, the bias add and any ReLU in the
-    matmul's output; float64 rows use the parameters themselves, uncopied."""
-    z = a @ layer.weight.astype(a.dtype, copy=False)
-    z += layer.bias.astype(a.dtype, copy=False)
-    return _activate(layer.activation, z)
+def _layer_out(weight: np.ndarray, bias: np.ndarray, activation: str, a: np.ndarray) -> np.ndarray:
+    """act(a @ weight + bias), the bias add and any ReLU in the matmul's output."""
+    z = a @ weight
+    z += bias
+    return _activate(activation, z)
 
 
 @dataclass
 class Network:
-    """Feedforward stack of DenseLayers; forward returns the activations
-    that backward takes, and the network stores none of them."""
+    """Feedforward stack of DenseLayers whose weights and biases are views
+    of one vector, params; forward returns the activations that backward
+    takes, and the network stores none of them.
+
+    Building a Network copies the given layers' arrays into a new params
+    and rebinds each layer's weight and bias to views of it.
+    """
 
     layers: list[DenseLayer]
+    params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -136,6 +151,19 @@ class Network:
                 )
             if self.layers[k].activation == "sigmoid":
                 raise ValueError("sigmoid is only permitted as the final activation")
+        self.params = np.concatenate([a.ravel() for l in self.layers for a in (l.weight, l.bias)])
+        for layer, (w, b) in zip(self.layers, self._views(self.params)):
+            layer.weight, layer.bias = w, b
+
+    def _views(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each layer's (weight, bias) as views of a vector in params' layout."""
+        views, start = [], 0
+        for layer in self.layers:
+            n_in, n_out = layer.weight.shape
+            end = start + n_in * n_out
+            views.append((vec[start:end].reshape(n_in, n_out), vec[end:end + n_out]))
+            start = end + n_out
+        return views
 
     @property
     def input_dim(self) -> int:
@@ -153,52 +181,46 @@ class Network:
         check_finite(x, "network input")
         acts = [x]
         for layer in self.layers:
-            acts.append(_layer_out(layer, acts[-1]))
+            acts.append(_layer_out(layer.weight, layer.bias, layer.activation, acts[-1]))
         check_finite(acts[-1], "network output")
         return acts
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """forward()'s output for inference on a batch (n, input_dim), in float32.
 
-        Casts the rows and each layer's parameters to float32 on every call
-        (Adam updates the float64 parameters in place, so no copy is kept)
-        and returns float64 that agrees with forward() to float32
-        precision (see the module docstring). Checks no entry for
-        finiteness; the caller checks what it reads.
+        Casts the rows and params to float32 on every call (Adam updates
+        params in place, so no copy is kept) and returns float64 that
+        agrees with forward() to float32 precision (see the module
+        docstring). Checks no entry for finiteness; the caller checks what
+        it reads.
         """
         x = np.asarray(x, dtype=np.float32)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ShapeError(f"input dim {x.shape} incompatible with input_dim {self.input_dim}")
-        for layer in self.layers:
-            x = _layer_out(layer, x)
+        for layer, (w, b) in zip(self.layers, self._views(self.params.astype(np.float32))):
+            x = _layer_out(w, b, layer.activation, x)
         return x.astype(np.float64)
 
-    def backward(self, acts: list[np.ndarray],
-                 grad_out: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Exact gradients of a scalar loss w.r.t. every weight and bias.
+    def backward(self, acts: list[np.ndarray], grad_out: np.ndarray) -> np.ndarray:
+        """Exact gradient of a scalar loss w.r.t. params, as a new vector of
+        params' layout.
 
         acts is what forward() returned and grad_out is dLoss/dOutput, of
-        the output's shape; neither is modified. Returns [(dW, db), ...]
-        per layer.
+        the output's shape; neither is modified.
         """
         g = np.array(grad_out, dtype=np.float64)  # backward's own, written in place
         if g.ndim != 2 or g.shape != acts[-1].shape:
             raise ShapeError(f"upstream gradient shape {g.shape} != output shape {acts[-1].shape}")
-        grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(self.layers)
+        grad = np.empty_like(self.params)
+        views = self._views(grad)
         for k in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[k]
             gz = _apply_slope(layer.activation, g, acts[k + 1])
-            grads[k] = (acts[k].T @ gz, gz.sum(axis=0))
+            np.matmul(acts[k].T, gz, out=views[k][0])
+            np.sum(gz, axis=0, out=views[k][1])
             if k > 0:
                 g = gz @ layer.weight.T
-        return grads
-
-    def parameters(self) -> list[np.ndarray]:
-        out = []
-        for layer in self.layers:
-            out.append(layer.weight)
-            out.append(layer.bias)
-        return out
+        return grad
 
 
 def init_network(dims: list[int], activations: list[str], seed: int) -> Network:
@@ -222,9 +244,9 @@ ADAM_EPSILON = 1e-8
 
 @dataclass
 class AdamState:
-    """Adam's moments m and v, each one flat float64 buffer holding every
-    parameter end to end in Network.parameters() order; a given float64
-    buffer is updated in place, other input is copied to float64."""
+    """Adam's moments m and v, each one float64 vector in Network.params'
+    layout; a given float64 vector is updated in place, other input is
+    copied to float64."""
 
     m: np.ndarray
     v: np.ndarray
@@ -237,26 +259,25 @@ class AdamState:
 
     @classmethod
     def for_network(cls, net: Network, learning_rate: float = 1e-3) -> "AdamState":
-        size = sum(p.size for p in net.parameters())
-        return cls(np.zeros(size), np.zeros(size), learning_rate=learning_rate)
+        return cls(np.zeros_like(net.params), np.zeros_like(net.params),
+                   learning_rate=learning_rate)
 
 
-def adam_step(net: Network, grads: list[tuple[np.ndarray, np.ndarray]], state: AdamState) -> None:
-    """One bias-corrected Adam update, in place on net and state.
+def adam_step(net: Network, grad: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam update, in place on net.params and state.
 
-    Rejects non-finite gradients before touching any parameter. The
-    gradient is gathered into one flat array and the moments are updated
-    over their flat buffers, in the element-wise operation order
-    m*b1 + (1-b1)g, v*b2 + ((1-b2)g)g, lr*(m/bc1) / (sqrt(v/bc2) + eps).
+    grad is a gradient in params' layout, as backward returns it; it is
+    not modified. Rejects non-finite gradients before touching any
+    parameter. Each pass runs over the whole vector, in the element-wise
+    operation order m*b1 + (1-b1)g, v*b2 + ((1-b2)g)g,
+    lr*(m/bc1) / (sqrt(v/bc2) + eps). Subnormal entries of m are set to 0
+    before the step is taken from it: their step is below
+    lr * tiny / ((1 - b1) * eps), about lr * 2.2e-299, less than half an ulp
+    of any parameter above about lr * 2e-283 in magnitude.
     """
-    flat = [g for pair in grads for g in pair]
-    params = net.parameters()
-    if len(flat) != len(params):
-        raise ShapeError("gradient list not congruent to parameters")
-    for g, p in zip(flat, params):
-        if g.shape != p.shape:
-            raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-    g = np.concatenate([_as_f64(x).ravel() for x in flat])
+    g = _as_f64(grad)
+    if g.shape != net.params.shape:
+        raise ShapeError(f"gradient shape {g.shape} != parameter shape {net.params.shape}")
     if state.m.size != g.size or state.v.size != g.size:
         raise ShapeError(f"Adam state holds {state.m.size} entries, parameters {g.size}")
     if not np.all(np.isfinite(g)):
@@ -271,18 +292,17 @@ def adam_step(net: Network, grads: list[tuple[np.ndarray, np.ndarray]], state: A
     tmp = (1.0 - ADAM_BETA2) * g
     tmp *= g
     v += tmp
-    g *= 1.0 - ADAM_BETA1
-    m += g
-    step = np.divide(m, bc1, out=g)
+    step = (1.0 - ADAM_BETA1) * g
+    m += step
+    np.abs(m, out=tmp)
+    m[tmp < np.finfo(np.float64).tiny] = 0.0
+    np.divide(m, bc1, out=step)
     step *= state.learning_rate
     np.divide(v, bc2, out=tmp)
     np.sqrt(tmp, out=tmp)
     tmp += ADAM_EPSILON
     step /= tmp
-    start = 0
-    for p in params:
-        p -= step[start:start + p.size].reshape(p.shape)
-        start += p.size
+    net.params -= step
 
 
 def finite_diff_check(net: Network, x: np.ndarray, loss_fn, step: float = 1e-5) -> float:
@@ -293,28 +313,24 @@ def finite_diff_check(net: Network, x: np.ndarray, loss_fn, step: float = 1e-5) 
     provide the analytic output gradient: loss_fn(y) -> (scalar, dLoss/dy).
     Every perturbed entry is put back, also when forward or loss_fn raises.
     """
-    for p in net.parameters():
-        if not np.all(np.isfinite(p)):
-            raise ValueError("network parameters contain non-finite entries")
+    params = net.params
+    if not np.all(np.isfinite(params)):
+        raise ValueError("network parameters contain non-finite entries")
     x = np.atleast_2d(x)
     acts = net.forward(x)
     _, gy = loss_fn(acts[-1])
     analytic = net.backward(acts, gy)
     worst = 0.0
-    for k, layer in enumerate(net.layers):
-        for arr, ga in ((layer.weight, analytic[k][0]), (layer.bias, analytic[k][1])):
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = arr[idx]
-                try:
-                    arr[idx] = orig + step
-                    lp, _ = loss_fn(net.forward(x)[-1])
-                    arr[idx] = orig - step
-                    lm, _ = loss_fn(net.forward(x)[-1])
-                finally:
-                    arr[idx] = orig
-                num = (lp - lm) / (2.0 * step)
-                rel = abs(ga[idx] - num) / (abs(ga[idx]) + 1e-12)
-                worst = max(worst, rel)
+    for i in range(params.size):
+        orig = params[i]
+        try:
+            params[i] = orig + step
+            lp, _ = loss_fn(net.forward(x)[-1])
+            params[i] = orig - step
+            lm, _ = loss_fn(net.forward(x)[-1])
+        finally:
+            params[i] = orig
+        num = (lp - lm) / (2.0 * step)
+        rel = abs(analytic[i] - num) / (abs(analytic[i]) + 1e-12)
+        worst = max(worst, rel)
     return worst

@@ -102,14 +102,11 @@ def test_denoiser_step_zero_loss_when_prediction_exact(monkeypatch):
     monkeypatch.setattr(
         den.net, "forward", lambda x: [x, batch.epsilon.copy()]
     )
-    monkeypatch.setattr(den.net, "backward", lambda acts, g: [
-        (np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in den.net.layers
-    ])
-    before = [p.copy() for p in den.net.parameters()]
+    monkeypatch.setattr(den.net, "backward", lambda acts, g: np.zeros_like(den.net.params))
+    before = den.net.params.copy()
     loss = denoiser_train_step(den, opt, x, batch.epsilon)
     assert loss == 0.0
-    for b, p in zip(before, den.net.parameters()):
-        assert np.array_equal(b, p)
+    assert np.array_equal(before, den.net.params)
 
 
 def test_denoiser_training_deterministic():
@@ -120,8 +117,7 @@ def test_denoiser_training_deterministic():
     l1 = train_denoiser(den1, data, cfg)
     l2 = train_denoiser(den2, data, cfg)
     assert l1 == l2
-    for p1, p2 in zip(den1.net.parameters(), den2.net.parameters()):
-        assert np.array_equal(p1, p2)
+    assert np.array_equal(den1.net.params, den2.net.params)
 
 
 def test_denoiser_training_reduces_loss():
@@ -181,9 +177,7 @@ def test_estimator_step_zero_loss_perfect_prediction(monkeypatch):
     opt = AdamState.for_network(est.net)
     batch = make_noisy_batch(data, sched, [np.random.default_rng(5)], 32)
     monkeypatch.setattr(est.net, "forward", lambda x: [x, (batch.sqrt_alpha_bar**2)[:, None]])
-    monkeypatch.setattr(est.net, "backward", lambda acts, g: [
-        (np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in est.net.layers
-    ])
+    monkeypatch.setattr(est.net, "backward", lambda acts, g: np.zeros_like(est.net.params))
     loss = estimator_train_step(est, opt, batch.y_s, batch.sqrt_alpha_bar**2)
     assert loss == 0.0
 
@@ -223,8 +217,7 @@ def test_blocked_training_matches_the_per_step_loop_bit_for_bit(kind, total_step
     cfg = TrainConfig(batch_size=24, total_steps=total_steps, seed=5, stage_count=80)
     blocked, reference = make(), make()
     assert trainer(blocked, data, cfg) == _per_step_reference(reference, data, cfg)
-    for p, q in zip(blocked.net.parameters(), reference.net.parameters()):
-        assert np.array_equal(p, q)
+    assert np.array_equal(blocked.net.params, reference.net.params)
 
 
 def test_progress_sees_each_step_loss_and_that_step_parameters():
@@ -237,15 +230,14 @@ def test_progress_sees_each_step_loss_and_that_step_parameters():
     def progress(step, loss):
         seen.append((step, loss))
         if step == inside:
-            snapshot.extend(p.copy() for p in den.net.parameters())
+            snapshot.append(den.net.params.copy())
 
     losses = train_denoiser(den, data, cfg, progress=progress)
     assert seen == list(enumerate(losses))
     short = make_denoiser(2, seed=1)
     assert train_denoiser(short, data, TrainConfig(
         batch_size=16, total_steps=inside + 1, seed=9, stage_count=50)) == losses[:inside + 1]
-    for p, q in zip(snapshot, short.net.parameters()):
-        assert np.array_equal(p, q)
+    assert np.array_equal(snapshot[0], short.net.params)
 
 
 def test_non_finite_loss_mid_block_stops_at_that_step(monkeypatch):
@@ -266,8 +258,7 @@ def test_non_finite_loss_mid_block_stops_at_that_step(monkeypatch):
     assert seen == list(range(bad))
     clean = make_estimator(2, seed=6)
     train_estimator(clean, data, TrainConfig(batch_size=16, total_steps=bad, seed=2, stage_count=50))
-    for p, q in zip(est.net.parameters(), clean.net.parameters()):
-        assert np.array_equal(p, q)
+    assert np.array_equal(est.net.params, clean.net.params)
 
 
 def test_training_memory_is_one_block_whatever_the_step_count():

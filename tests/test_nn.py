@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adadiffuse.checkpoint import load_checkpoint, save_checkpoint
 from adadiffuse.errors import ShapeError
+from adadiffuse.models import make_denoiser, make_estimator
 from adadiffuse.nn import (
     AdamState,
     DenseLayer,
@@ -61,8 +63,8 @@ def test_forward_rejects_dimension_mismatch():
 def test_zero_upstream_gradient_gives_zero_grads():
     net = init_network([4, 6, 2], ["relu", "identity"], seed=2)
     acts = net.forward(np.random.default_rng(0).standard_normal((1, 4)))
-    for gw, gb in net.backward(acts, np.zeros((1, 2))):
-        assert not gw.any() and not gb.any()
+    grad = net.backward(acts, np.zeros((1, 2)))
+    assert grad.shape == net.params.shape and not grad.any()
 
 
 def test_identity_layer_squared_error_closed_form():
@@ -71,9 +73,9 @@ def test_identity_layer_squared_error_closed_form():
     target = np.array([1.0, 0.0, -1.0])
     acts = net.forward(x)
     y = acts[-1]
-    grads = net.backward(acts, 2.0 * (y - target))
-    np.testing.assert_allclose(grads[0][0], np.outer(x, 2.0 * (y - target)), atol=1e-15)
-    np.testing.assert_allclose(grads[0][1], 2.0 * (y[0] - target), atol=1e-15)
+    dw, db = _split(net, net.backward(acts, 2.0 * (y - target)))
+    np.testing.assert_allclose(dw, np.outer(x, 2.0 * (y - target)), atol=1e-15)
+    np.testing.assert_allclose(db, 2.0 * (y[0] - target), atol=1e-15)
 
 
 def test_backward_matches_finite_differences_three_layers():
@@ -85,13 +87,11 @@ def test_backward_matches_finite_differences_three_layers():
 
 def test_adam_zero_gradients_is_identity():
     net = init_network([3, 4, 2], ["relu", "identity"], seed=9)
-    before = [p.copy() for p in net.parameters()]
+    before = net.params.copy()
     state = AdamState.for_network(net)
-    zero = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in net.layers]
     for _ in range(5):
-        adam_step(net, zero, state)
-    for b, p in zip(before, net.parameters()):
-        assert np.array_equal(b, p)
+        adam_step(net, np.zeros_like(net.params), state)
+    assert np.array_equal(before, net.params)
     assert state.step_count == 5
 
 
@@ -99,7 +99,7 @@ def test_adam_first_step_moves_by_learning_rate():
     # hand-evaluated bias-corrected recurrence for grad 1.0 at step 1
     net = Network([DenseLayer(np.array([[1.0]]), np.zeros(1), "identity")])
     state = AdamState.for_network(net, learning_rate=1e-3)
-    adam_step(net, [(np.array([[1.0]]), np.zeros(1))], state)
+    adam_step(net, np.array([1.0, 0.0]), state)  # [dW, db]
     assert net.layers[0].weight[0, 0] == pytest.approx(1.0 - 0.0009999999900000003, abs=1e-15)
 
 
@@ -109,7 +109,7 @@ def test_adam_converges_on_quadratic_bowl():
     state = AdamState.for_network(net, learning_rate=0.01)
     for _ in range(1000):
         w = net.layers[0].weight[0, 0]
-        adam_step(net, [(np.array([[2.0 * w]]), np.zeros(1))], state)
+        adam_step(net, np.array([2.0 * w, 0.0]), state)
     assert abs(net.layers[0].weight[0, 0]) < 1e-3
 
 
@@ -117,19 +117,17 @@ def test_adam_rejects_non_finite_gradients():
     net = init_network([2, 3, 2], ["relu", "identity"], seed=1)
     state = AdamState.for_network(net)
     rng = np.random.default_rng(0)
-    good = [(rng.standard_normal(l.weight.shape), rng.standard_normal(l.bias.shape))
-            for l in net.layers]
+    good = rng.standard_normal(net.params.size)
     for _ in range(2):
         adam_step(net, good, state)  # moments away from zero
-    before = [p.copy() for p in net.parameters()]
+    before = net.params.copy()
     m_before, v_before = state.m.copy(), state.v.copy()
     for bad_value in (np.nan, np.inf):
-        bad = [(gw.copy(), gb.copy()) for gw, gb in good]
-        bad[-1][1][-1] = bad_value  # the last entry of the last gradient
+        bad = good.copy()
+        bad[-1] = bad_value  # the last entry of the last layer's bias
         with pytest.raises(ValueError):
             adam_step(net, bad, state)
-    for b, p in zip(before, net.parameters()):
-        assert np.array_equal(b, p)
+    assert np.array_equal(before, net.params)
     assert np.array_equal(m_before, state.m)
     assert np.array_equal(v_before, state.v)
     assert state.step_count == 2
@@ -137,13 +135,13 @@ def test_adam_rejects_non_finite_gradients():
 
 def test_adam_rejects_a_state_of_another_network():
     net = init_network([2, 3, 2], ["relu", "identity"], seed=1)
-    before = [p.copy() for p in net.parameters()]
+    before = net.params.copy()
     state = AdamState.for_network(init_network([2, 4, 2], ["relu", "identity"], seed=1))
-    zero = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in net.layers]
     with pytest.raises(ShapeError):
-        adam_step(net, zero, state)
-    for b, p in zip(before, net.parameters()):
-        assert np.array_equal(b, p)
+        adam_step(net, np.zeros_like(net.params), state)
+    with pytest.raises(ShapeError):  # a gradient of the other network's size
+        adam_step(net, np.zeros_like(state.m), state)
+    assert np.array_equal(before, net.params)
     assert state.step_count == 0
 
 
@@ -152,21 +150,74 @@ def test_adam_state_built_from_given_moments_updates_them():
     net_a = init_network([3, 4, 2], ["relu", "identity"], seed=4)
     net_b = init_network([3, 4, 2], ["relu", "identity"], seed=4)
     rng = np.random.default_rng(3)
-    m0 = [rng.standard_normal(p.shape) for p in net_a.parameters()]
-    v0 = [rng.random(p.shape) for p in net_a.parameters()]
+    m0 = [rng.standard_normal(p.shape) for p in _split(net_a, net_a.params)]
+    v0 = [rng.random(p.shape) for p in _split(net_a, net_a.params)]
     state = AdamState(_flat(m0), _flat(v0), learning_rate=0.01)
-    ref_params = [p.copy() for p in net_b.parameters()]
+    ref_params = [p.copy() for p in _split(net_b, net_b.params)]
     ref_m, ref_v = [m.copy() for m in m0], [v.copy() for v in v0]
     for t in range(1, 4):
-        grads = [(rng.standard_normal(l.weight.shape), rng.standard_normal(l.bias.shape))
-                 for l in net_a.layers]
-        adam_step(net_a, grads, state)
-        _ref_adam(ref_params, [g for pair in grads for g in pair], ref_m, ref_v, t, 0.01)
+        grad = rng.standard_normal(net_a.params.size)
+        grad_before = grad.copy()
+        adam_step(net_a, grad, state)
+        assert grad.tobytes() == grad_before.tobytes()  # the gradient is not modified
+        _ref_adam(ref_params, _split(net_a, grad), ref_m, ref_v, t, 0.01)
     assert state.step_count == 3
-    for got, ref in zip(net_a.parameters(), ref_params):
-        np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(net_a.params, _flat(ref_params))
     np.testing.assert_array_equal(state.m, _flat(ref_m))
     np.testing.assert_array_equal(state.v, _flat(ref_v))
+
+
+def test_adam_sets_subnormal_first_moments_to_zero():
+    # with zero gradients m only decays; 0.9 * 5e-324 rounds back to 5e-324,
+    # so the per-array reference keeps its subnormal entries for good, while
+    # adam_step zeroes them and moves the parameters the same
+    net = init_network([3, 4, 2], ["relu", "identity"], seed=4)
+    for layer in net.layers:
+        layer.bias[...] = 0.5  # no parameter at 0, where a subnormal step would show
+    tiny = np.finfo(np.float64).tiny  # the smallest normal float64
+    m0 = np.full(net.params.size, 5e-324)
+    m0[:2] = [4.0 * tiny, -tiny]  # normal for four steps; subnormal after one
+    v0 = np.ones(net.params.size)
+    state = AdamState(m0.copy(), v0.copy(), learning_rate=0.01)
+    ref_params, ref_m, ref_v = _split(net, net.params), _split(net, m0), _split(net, v0)
+    zero = np.zeros_like(net.params)
+    for t in range(1, 5):
+        adam_step(net, zero, state)
+        _ref_adam(ref_params, _split(net, zero), ref_m, ref_v, t, 0.01)
+        m = _flat(ref_m)
+        assert m[-1] == 5e-324
+        np.testing.assert_array_equal(state.m, np.where(np.abs(m) < tiny, 0.0, m))
+    assert state.m[0] >= tiny and not state.m[1:].any()
+    assert net.params.tobytes() == _flat(ref_params).tobytes()
+    assert state.v.tobytes() == _flat(ref_v).tobytes()
+
+
+def test_layer_arrays_are_views_of_params(tmp_path):
+    w, b = np.arange(6.0).reshape(2, 3), np.ones(3)
+    net = Network([DenseLayer(w, b, "relu"), DenseLayer(np.ones((3, 1)), np.zeros(1), "identity")])
+    assert net.params.tobytes() == _flat([w, b, np.ones((3, 1)), np.zeros(1)]).tobytes()
+    for layer in net.layers:
+        assert np.shares_memory(layer.weight, net.params)
+        assert np.shares_memory(layer.bias, net.params)
+    state = AdamState.for_network(net, learning_rate=0.1)
+    adam_step(net, np.ones_like(net.params), state)
+    layer_arrays = [a for layer in net.layers for a in (layer.weight, layer.bias)]
+    assert _flat(layer_arrays).tobytes() == net.params.tobytes()
+    np.testing.assert_allclose(net.layers[0].weight, w - 0.1, rtol=0, atol=1e-8)  # moved
+    assert np.array_equal(w, np.arange(6.0).reshape(2, 3))  # the given array is copied
+    net.layers[1].bias[0] = 7.0
+    assert net.params[-1] == 7.0
+
+    den, est = make_denoiser(2, seed=1), make_estimator(2, seed=2)
+    path = tmp_path / "models.nesd"
+    save_checkpoint({"denoiser": den, "estimator": est}, None, path)
+    models, _ = load_checkpoint(path)
+    for key, model in (("denoiser", den), ("estimator", est)):
+        loaded = models[key].net
+        assert loaded.params.tobytes() == model.net.params.tobytes()
+        for layer in loaded.layers:
+            assert np.shares_memory(layer.weight, loaded.params)
+            assert np.shares_memory(layer.bias, loaded.params)
 
 
 def test_finite_diff_identity_net_tight():
@@ -224,11 +275,9 @@ def test_shape_invariants_random_networks(dims, batch, seed):
     y = acts[-1]
     assert y.shape == (batch, dims[-1])
     assert np.all(np.isfinite(y))
-    grads = net.backward(acts, np.ones_like(y))
-    for (gw, gb), layer in zip(grads, net.layers):
-        assert gw.shape == layer.weight.shape
-        assert gb.shape == layer.bias.shape
-        assert np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))
+    grad = net.backward(acts, np.ones_like(y))
+    assert grad.shape == net.params.shape == (sum(a * b + b for a, b in zip(dims, dims[1:])),)
+    assert np.all(np.isfinite(grad))
 
 
 # The plain per-array formulas the allocation-light kernel replaced; the
@@ -271,8 +320,19 @@ def _ref_forward_backward(layers, x, g):
 
 
 def _flat(arrays):
-    """The arrays end to end, as Adam's state holds its moments."""
+    """The arrays end to end, as Network.params and Adam's state hold them."""
     return np.concatenate([a.ravel() for a in arrays])
+
+
+def _split(net, vec):
+    """A vector in net.params' layout as copies of [W_0, b_0, W_1, b_1, ...]."""
+    out, start = [], 0
+    for layer in net.layers:
+        for a in (layer.weight, layer.bias):
+            out.append(vec[start:start + a.size].reshape(a.shape).copy())
+            start += a.size
+    assert start == vec.size
+    return out
 
 
 def _ref_adam(params, flat_grads, ms, vs, t, lr):
@@ -306,7 +366,7 @@ KERNEL_NETS = {
 @pytest.mark.parametrize("batch", [1, 7], ids=["batch-1", "batch-7"])
 def test_kernel_matches_plain_formulas_bit_for_bit(dims, acts, batch):
     net = init_network(dims, acts, seed=17)
-    ref_params = [p.copy() for p in net.parameters()]
+    ref_params = _split(net, net.params)
     ref_layers = [(ref_params[2 * k], ref_params[2 * k + 1], a) for k, a in enumerate(acts)]
     ref_m = [np.zeros_like(p) for p in ref_params]
     ref_v = [np.zeros_like(p) for p in ref_params]
@@ -318,14 +378,12 @@ def test_kernel_matches_plain_formulas_bit_for_bit(dims, acts, batch):
         g = rng.standard_normal(activations[-1].shape)
         ref_y, ref_grads = _ref_forward_backward(ref_layers, x, g)
         np.testing.assert_array_equal(activations[-1], ref_y)
-        grads = net.backward(activations, g)
-        for (gw, gb), (rw, rb) in zip(grads, ref_grads):
-            np.testing.assert_array_equal(gw, rw)
-            np.testing.assert_array_equal(gb, rb)
-        adam_step(net, grads, state)
-        _ref_adam(ref_params, [a for pair in ref_grads for a in pair], ref_m, ref_v, t, 0.05)
-        for got, ref in zip(net.parameters(), ref_params):
-            np.testing.assert_array_equal(got, ref)
+        grad = net.backward(activations, g)
+        ref_flat_grads = [a for pair in ref_grads for a in pair]
+        assert grad.tobytes() == _flat(ref_flat_grads).tobytes()
+        adam_step(net, grad, state)
+        _ref_adam(ref_params, ref_flat_grads, ref_m, ref_v, t, 0.05)
+        assert net.params.tobytes() == _flat(ref_params).tobytes()
         np.testing.assert_array_equal(state.m, _flat(ref_m))
         np.testing.assert_array_equal(state.v, _flat(ref_v))
     if "sigmoid" in acts:
@@ -351,8 +409,7 @@ def test_forward_and_backward_leave_their_inputs_alone(dims, acts, batch):
     np.testing.assert_array_equal(g, g_before)
     for a, before in zip(activations, acts_before):
         assert a.tobytes() == before.tobytes()
-    for (gw, gb), (hw, hb) in zip(first, second):
-        assert gw.tobytes() == hw.tobytes() and gb.tobytes() == hb.tobytes()
+    assert first.tobytes() == second.tobytes()
 
 
 @pytest.mark.parametrize("dims,acts", KERNEL_NETS.values(), ids=KERNEL_NETS.keys())
@@ -368,8 +425,7 @@ def test_interleaved_calls_give_each_batch_its_own_gradients(dims, acts):
     grads_b = net.backward(acts_b, gs[1])
     grads_a = net.backward(acts_a, gs[0])
     for got, want in zip((grads_a, grads_b), alone):
-        for (gw, gb), (ww, wb) in zip(got, want):
-            assert gw.tobytes() == ww.tobytes() and gb.tobytes() == wb.tobytes()
+        assert got.tobytes() == want.tobytes()
 
 
 def test_forward_and_backward_reject_a_1d_array():
@@ -386,7 +442,7 @@ def test_finite_diff_check_puts_back_the_entry_when_loss_fn_raises(raise_on):
     # call 1 is the unperturbed loss; calls 2 and 3 see the first entry
     # moved by +step and -step
     net = init_network([3, 4, 2], ["relu", "identity"], seed=5)
-    before = [p.tobytes() for p in net.parameters()]
+    before = net.params.tobytes()
     calls, loss = [], sq_loss(np.zeros(2))
 
     def failing(y):
@@ -397,7 +453,7 @@ def test_finite_diff_check_puts_back_the_entry_when_loss_fn_raises(raise_on):
 
     with pytest.raises(RuntimeError, match="loss failed"):
         finite_diff_check(net, np.ones(3), failing)
-    assert [p.tobytes() for p in net.parameters()] == before
+    assert net.params.tobytes() == before
 
 
 @pytest.mark.parametrize("dims,acts", KERNEL_NETS.values(), ids=KERNEL_NETS.keys())

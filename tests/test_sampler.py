@@ -600,7 +600,7 @@ def test_engine_inference_goes_through_the_models_predict(small_models, monkeypa
 def _apply_float64(self, x):
     """The float64 reference for Network.apply: the layer loop on the float64 parameters."""
     for layer in self.layers:
-        x = _layer_out(layer, x)
+        x = _layer_out(layer.weight, layer.bias, layer.activation, x)
     return x
 
 
