@@ -3,8 +3,8 @@
 For each configured step count and seed, one fixed-schedule batch run and
 one adaptive batch run consume identical initial noise (verified by
 hashing). The adaptive run re-solves at the steps of sampler.adjust, read
-at each N as _adjustment_for states. Energy distances are measured
-against a held-out data batch.
+at each N as _adjustment_for states. Each energy distance is taken over
+every chain of the run and every point of a held-out data batch.
 Outputs: metrics.json, curve.csv, bench.csv and a trace.jsonl per run
 (one StepRecord per line), all re-parseable by this module. The pairs
 run one after another in the calling process.

@@ -13,8 +13,9 @@ from adadiffuse.models import make_estimator
 
 
 def test_energy_distance_identical_sets_zero():
-    x = np.random.default_rng(0).standard_normal((100, 2))
-    assert abs(energy_distance(x, x.copy())) <= 1e-12
+    for n in (100, 2000):
+        x = np.random.default_rng(0).standard_normal((n, 2))
+        assert abs(energy_distance(x, x.copy())) <= 1e-12
 
 
 def test_energy_distance_singletons():
@@ -56,29 +57,13 @@ def test_energy_distance_rejects_non_finite_points(bad, which):
         energy_distance(*args)
 
 
-def test_energy_distance_subsampling_stays_consistent():
-    # above the 1e6-pair budget the strided estimate must stay close to the
-    # full-pair value computed on a smaller equivalent problem
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((2000, 2))
-    b = rng.standard_normal((2000, 2)) + 1.0
-    big = energy_distance(a, b)  # 4e6 pairs -> strided
-    small = energy_distance(a[::4], b[::4])  # exact on 500x500
-    assert big == pytest.approx(small, abs=0.05)
-    assert abs(energy_distance(a, a.copy())) <= 1e-12  # zero survives striding
-
-
 def _broadcast_pairwise_mean(a, b):
     d = a[:, None, :] - b[None, :, :]
     return float(np.sqrt((d * d).sum(axis=-1)).mean())
 
 
 def _broadcast_energy_distance(a, b):
-    """Full-tensor formula with the package's striding rule, as the oracle."""
-    if a.shape[0] * b.shape[0] > metrics.MAX_PAIRS:
-        scale = np.sqrt(metrics.MAX_PAIRS / (a.shape[0] * b.shape[0]))
-        a = metrics._stride_subsample(a, max(1, int(a.shape[0] * scale)))
-        b = metrics._stride_subsample(b, max(1, int(b.shape[0] * scale)))
+    """Full-tensor formula over every point, as the oracle."""
     return (2.0 * _broadcast_pairwise_mean(a, b)
             - _broadcast_pairwise_mean(a, a) - _broadcast_pairwise_mean(b, b))
 
@@ -122,8 +107,7 @@ def test_blocked_kernel_matches_broadcast_oracle_around_block_boundaries(dim, m,
         assert ed == pytest.approx(_broadcast_energy_distance(a, b), rel=1e-12, abs=0)
 
 
-def test_reference_term_memo_never_serves_a_stale_value(monkeypatch):
-    monkeypatch.setattr(metrics, "MAX_PAIRS", 1000)
+def test_reference_term_memo_never_serves_a_stale_value():
     rng = np.random.default_rng(11)
     a, b = rng.standard_normal((20, 2)), rng.standard_normal((40, 2))
 
@@ -137,7 +121,7 @@ def test_reference_term_memo_never_serves_a_stale_value(monkeypatch):
     b[3] += 2.0  # mutated in place between calls
     check(a, b)
     check(a, b + 0.5)  # same shape, other values
-    check(rng.standard_normal((30, 2)), b)  # 30 x 40 pairs stride b to 36 rows
+    check(rng.standard_normal((30, 2)), b)
 
 
 def test_energy_distance_peak_memory_stays_small(monkeypatch):
@@ -153,20 +137,41 @@ def test_energy_distance_peak_memory_stays_small(monkeypatch):
     assert peak < 8 * 2**20
 
 
-def test_energy_distance_1d_inputs_are_scalar_samples():
+def _column(values):
+    return np.array(values, dtype=np.float64)[:, None]
+
+
+def test_energy_distance_hand_computed_on_one_column():
     # E|X-Y| = 9.5/9, E|X-X'| = 8/9, E|Y-Y'| = 10/9
-    assert energy_distance([0.0, 1.0, 2.0], [0.0, 1.0, 2.5]) == pytest.approx(1 / 9, abs=1e-12)
+    got = energy_distance(_column([0.0, 1.0, 2.0]), _column([0.0, 1.0, 2.5]))
+    assert got == pytest.approx(1 / 9, abs=1e-12)
     # E|X-Y| = 5/6, E|X-X'| = 8/9, E|Y-Y'| = 1/2
-    assert energy_distance([0.0, 1.0, 2.0], [0.0, 1.0]) == pytest.approx(5 / 18, abs=1e-12)
-    x = np.random.default_rng(13).standard_normal(50)
-    assert energy_distance(x, x + 1.0) == energy_distance(x[:, None], x[:, None] + 1.0)
+    got = energy_distance(_column([0.0, 1.0, 2.0]), _column([0.0, 1.0]))
+    assert got == pytest.approx(5 / 18, abs=1e-12)
 
 
-def test_energy_distance_rejects_inputs_above_2d():
-    with pytest.raises(ShapeError):
-        energy_distance(np.zeros((2, 2, 2)), np.zeros((3, 2)))
-    with pytest.raises(ShapeError):
-        energy_distance(np.zeros((3, 2)), np.zeros((2, 2, 2)))
+def test_energy_distance_rejects_inputs_not_2d():
+    # the other set is one column, so a 1-D set is not read as n scalars
+    for shape in ((3,), (2, 2, 2)):
+        with pytest.raises(ShapeError):
+            energy_distance(np.zeros(shape), np.zeros((3, 1)))
+        with pytest.raises(ShapeError):
+            energy_distance(np.zeros((3, 1)), np.zeros(shape))
+
+
+@pytest.mark.parametrize("which, row", [("first", 42), ("second", 213)])
+def test_energy_distance_sees_every_point_of_a_benchmark_sized_pair(which, row):
+    # 512 chains against 2048 reference points, the benchmark's shape; a
+    # 1e6-pair stride to 500 x 2000 rows never read these two
+    rng = np.random.default_rng(14)
+    a, b = rng.standard_normal((512, 2)), rng.standard_normal((2048, 2))
+    before = energy_distance(a, b)
+    moved = (a if which == "first" else b).copy()
+    moved[row] = 50.0
+    a2, b2 = (moved, b) if which == "first" else (a, moved)
+    after = energy_distance(a2, b2)
+    assert after != before
+    assert after == pytest.approx(_broadcast_energy_distance(a2, b2), rel=1e-12, abs=0)
 
 
 @settings(max_examples=20, deadline=None)
